@@ -1,18 +1,15 @@
-// Core synthesis-pipeline micro-benchmark: per-round verify latency and
-// whole-run verify/repair throughput of the persistent incremental
-// pipeline against the from-scratch re-encode oracle
-// (Manthan3Options::incremental = false — the pre-refactor *cost
-// structure*: fresh solvers and full re-encoding per round; seeding now
-// flows through derive_seed streams on both sides), the incremental
-// MaxSAT round against a fresh Fu-Malik solver per counterexample, and
+// Core synthesis-pipeline micro-benchmark: whole-run verify/repair
+// throughput of the persistent incremental pipeline, per-round verify
+// latency of IncrementalRefutation against re-encoding
+// build_refutation_cnf into a fresh solver, the incremental MaxSAT round
+// against a fresh Fu-Malik solver per counterexample, and
 // candidate-learning scaling across scheduler workers.
 //
-// The headline series is BM_Pipeline*: the same multi-round planted/pec
-// instances run through both pipelines — the incremental one re-encodes
-// only repaired cones and keeps all solver state warm, so its per-round
-// cost is O(changed cones) instead of O(formula). The committed
-// BENCH_core.json snapshot shows ≥2x end-to-end on every multi-round
-// instance (7-9x on the counterexample-heavy ones).
+// BM_Pipeline* run multi-round planted/pec instances end to end; the
+// pipeline re-encodes only repaired cones and keeps all solver state
+// warm, so its per-round cost is O(changed cones) instead of O(formula).
+// The committed BENCH_core.json snapshot also archives the last numbers
+// of the retired re-encode-every-round pipeline (BM_PipelineRebuild*).
 #include <benchmark/benchmark.h>
 
 #include <thread>
@@ -62,21 +59,19 @@ manthan::dqbf::DqbfFormula repair_heavy_pec() {
 }
 
 void run_pipeline(benchmark::State& state,
-                  const manthan::dqbf::DqbfFormula& formula,
-                  bool incremental) {
+                  const manthan::dqbf::DqbfFormula& formula) {
   SynthesisResult last;
   for (auto _ : state) {
     manthan::aig::Aig manager;
     Manthan3Options options;
     options.time_limit_seconds = 120.0;
     options.max_counterexamples = 300;
-    options.incremental = incremental;
-    // Pin the PR-5 front end off: these benches exist to compare the
-    // incremental vs re-encode *verify/repair* machinery, and under the
-    // enumerating sampler + reuse defaults the planted instance certifies
-    // in round 0 — the comparison would be vacuous (the counterexamples
-    // counter guards this).
-    options.sampler.enumerate = false;
+    // Starve the sampler and turn reuse off: these benches time the
+    // *verify/repair* machinery, and with the default sample budget and
+    // reuse the planted instance certifies in round 0 — the measurement
+    // would be vacuous (the counterexamples counter guards this).
+    options.sampler.num_samples = 4;
+    options.sampler.probe_samples = 4;
     options.sample_reuse = false;
     options.seed = 42;
     last = Manthan3(options).synthesize(formula, manager);
@@ -98,28 +93,14 @@ void run_pipeline(benchmark::State& state,
 }
 
 void BM_PipelineIncrementalPlanted(benchmark::State& state) {
-  const auto f = multi_round_planted();
-  run_pipeline(state, f, /*incremental=*/true);
+  run_pipeline(state, multi_round_planted());
 }
 BENCHMARK(BM_PipelineIncrementalPlanted)->Unit(benchmark::kMillisecond);
 
-void BM_PipelineRebuildPlanted(benchmark::State& state) {
-  const auto f = multi_round_planted();
-  run_pipeline(state, f, /*incremental=*/false);
-}
-BENCHMARK(BM_PipelineRebuildPlanted)->Unit(benchmark::kMillisecond);
-
 void BM_PipelineIncrementalPec(benchmark::State& state) {
-  const auto f = repair_heavy_pec();
-  run_pipeline(state, f, /*incremental=*/true);
+  run_pipeline(state, repair_heavy_pec());
 }
 BENCHMARK(BM_PipelineIncrementalPec)->Unit(benchmark::kMillisecond);
-
-void BM_PipelineRebuildPec(benchmark::State& state) {
-  const auto f = repair_heavy_pec();
-  run_pipeline(state, f, /*incremental=*/false);
-}
-BENCHMARK(BM_PipelineRebuildPec)->Unit(benchmark::kMillisecond);
 
 // --- isolated verify-round latency -----------------------------------------
 // A fixed repair-like mutation sweep over candidate vectors, verified
@@ -277,8 +258,7 @@ std::vector<manthan::cnf::Var> existential_vars(
 /// probe + biased-main solver pair, duplicate detection through an
 /// unordered_set<vector<bool>> of whole models, results accumulated as
 /// vector<Assignment> rows. This is the benchmarked baseline for the
-/// packed front end — not the in-library `enumerate = false` oracle,
-/// which already benefits from fingerprint dedup and packed storage.
+/// packed front end.
 std::vector<manthan::cnf::Assignment> sample_pre_pr(
     const manthan::cnf::CnfFormula& formula,
     const std::vector<manthan::cnf::Var>& bias_vars, std::uint64_t seed) {

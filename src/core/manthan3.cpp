@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -12,7 +11,6 @@
 #include "aig/aig_sim.hpp"
 #include "cnf/sample_matrix.hpp"
 #include "core/dependency.hpp"
-#include "dqbf/certificate.hpp"
 #include "dqbf/fingerprint.hpp"
 #include "dqbf/incremental_refutation.hpp"
 #include "maxsat/maxsat.hpp"
@@ -47,6 +45,13 @@ Lit unit_lit(Var v, bool value) {
 // pass draws a fresh — but worker-invariant — stream per existential.
 constexpr std::uint64_t kLearnSalt = 0x4c4541524eULL;   // "LEARN"
 constexpr std::uint64_t kVerifySalt = 0x564552494659ULL;  // "VERIFY"
+
+// Refit trigger (sample_reuse): a candidate's error rate over the rows
+// appended since its last fit is measured once kRefitMinFresh of them
+// arrived, and the candidate is refit when that rate reaches
+// kRefitErrorRate.
+constexpr std::size_t kRefitMinFresh = 16;
+constexpr double kRefitErrorRate = 0.05;
 
 /// Mismatches between a packed candidate simulation and the label column,
 /// restricted to rows [from_row, num_samples). The refit screen passes the
@@ -99,14 +104,14 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
   const std::size_t m = ex.size();
 
   // Persistent specification solver: extension checks (Algorithm 1,
-  // line 13), repair queries G_k (Algorithm 3, line 9), and — in the
-  // incremental pipeline — the per-counterexample MaxSAT rounds all run
-  // on it with assumptions, sharing one matrix encoding and one learnt
-  // clause database across the whole synthesis run.
+  // line 13), repair queries G_k (Algorithm 3, line 9), and the
+  // per-counterexample MaxSAT rounds all run on it with assumptions,
+  // sharing one matrix encoding and one learnt clause database across the
+  // whole synthesis run.
   sat::Solver phi_solver;
-  // Persistent verification solver (incremental pipeline): constructed
-  // once before the verify/repair loop, lives in this scope so finish()
-  // can snapshot its stats.
+  // Persistent verification solver: constructed once before the
+  // verify/repair loop, lives in this scope so finish() can snapshot its
+  // stats.
   std::optional<dqbf::IncrementalRefutation> verifier;
   // Training matrix; declared before finish() so the exit snapshot can
   // report its footprint. Filled by the sampling phase below.
@@ -369,33 +374,14 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
   const auto fit_one = [&](std::size_t i, std::uint64_t generation) {
     dtree::DtreeOptions dt = options_.dtree;
     dt.seed = util::derive_seed(options_.seed, kLearnSalt + generation, i);
-    if (options_.packed_learning) {
-      // Popcount path: split statistics straight off the packed columns.
-      return dtree::DecisionTree::fit(samples, feature_vars[i], ex[i].var,
-                                      dt);
-    }
-    // Row-wise oracle: unpack the matrix into per-existential rows.
-    const std::size_t n = samples.num_samples();
-    std::vector<std::vector<bool>> rows;
-    rows.reserve(n);
-    std::vector<bool> labels;
-    labels.reserve(n);
-    for (std::size_t s = 0; s < n; ++s) {
-      std::vector<bool> row;
-      row.reserve(feature_vars[i].size());
-      for (const Var v : feature_vars[i]) row.push_back(samples.value(s, v));
-      rows.push_back(std::move(row));
-      labels.push_back(samples.value(s, ex[i].var));
-    }
-    return dtree::DecisionTree::fit(rows, labels, dt);
+    // Split statistics come straight off the packed columns.
+    return dtree::DecisionTree::fit(samples, feature_vars[i], ex[i].var, dt);
   };
 
   std::vector<dtree::DecisionTree> trees(m);
   // One pool for the initial fit and every refit round (created lazily:
   // serial runs and single-job batches never spawn threads). The pool
-  // class lives in util precisely so this layer can use it; the engine
-  // module (which links against core) re-exports it as engine::Scheduler
-  // for the portfolio-facing clients.
+  // class lives in util precisely so this layer can use it.
   std::optional<util::Scheduler> learn_pool;
   const auto run_fits = [&](const std::vector<std::size_t>& fit_jobs,
                             std::uint64_t generation) {
@@ -472,26 +458,22 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
   };
 
   // ---- Verify / repair loop (Algorithm 1, lines 9-18) --------------------
-  // The incremental pipeline keeps both oracles warm across rounds: the
-  // verify solver re-encodes only repaired cones (activation literals
-  // retire the stale output equivalences), and the MaxSAT rounds run as
-  // activation-scoped Fu-Malik sessions on the φ solver, whose matrix
-  // encoding and learnt clauses persist for the whole run.
-  if (options_.incremental) {
-    // Default solver options: the search RNG is reseeded from the round's
-    // derived stream before every check(), so a construction seed would
-    // never influence a solve.
-    verifier.emplace(formula, manager);
-  }
+  // Both oracles stay warm across rounds: the verify solver re-encodes
+  // only repaired cones (activation literals retire the stale output
+  // equivalences), and the MaxSAT rounds run as activation-scoped
+  // Fu-Malik sessions on the φ solver, whose matrix encoding and learnt
+  // clauses persist for the whole run. Default solver options: the search
+  // RNG is reseeded from the round's derived stream before every check(),
+  // so a construction seed would never influence a solve.
+  verifier.emplace(formula, manager);
   maxsat::IncrementalMaxSat repair_maxsat(phi_solver);
 
-  // Inter-round solver maintenance (incremental pipeline only): both
-  // persistent solvers inprocess + compact every inprocess_interval
-  // counterexamples. The φ solver's matrix block is its interface —
-  // extension checks assume X units and G_k queries assume H_k/Ŷ units
-  // over it every round — so it stays out of variable elimination.
-  const bool maintain_solvers = options_.incremental && options_.inprocess &&
-                                options_.inprocess_interval > 0;
+  // Inter-round solver maintenance: both persistent solvers inprocess +
+  // compact every inprocess_interval counterexamples. The φ solver's
+  // matrix block is its interface — extension checks assume X units and
+  // G_k queries assume H_k/Ŷ units over it every round — so it stays out
+  // of variable elimination.
+  const bool maintain_solvers = options_.inprocess_interval > 0;
   if (maintain_solvers) phi_solver.freeze_range(0, matrix.num_vars());
   std::size_t next_maintenance =
       maintain_solvers ? options_.inprocess_interval : 0;
@@ -505,31 +487,23 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
 
   // Cross-round sample reuse, refit side: batch-evaluate live candidates
   // over the packed matrix with the 64-way AIG simulator and refit exactly
-  // those that now disagree with the data. Two trigger policies:
-  //   * adaptive (default): each candidate tracks the row count of its own
-  //     last fit; once adaptive_refit_min_fresh rows arrived since then,
-  //     its error rate over those fresh rows is measured every round (the
-  //     batch simulation is cheap), and clearing adaptive_refit_error_rate
-  //     triggers a refit of exactly the drifted candidates;
-  //   * legacy (adaptive_refit = false): wait until the whole matrix grew
-  //     ~50% since the last global screen, then refit any candidate that
-  //     disagrees with a fresh row.
-  // The refreshed candidates re-enter verification unchanged in soundness
-  // terms — only a verify-UNSAT certifies the vector.
+  // those that now disagree with the data. Each candidate tracks the row
+  // count of its own last fit; once kRefitMinFresh rows arrived since
+  // then, its error rate over those fresh rows is measured every round
+  // (the batch simulation is cheap), and reaching kRefitErrorRate
+  // triggers a refit of exactly the drifted candidates. The refreshed
+  // candidates re-enter verification unchanged in soundness terms — only
+  // a verify-UNSAT certifies the vector.
+  // Matrix row count at the last forced (no-progress) screen.
   std::size_t last_fit_samples = samples.num_samples();
   // Per-candidate watermark: matrix row count at the candidate's last
-  // (re)fit or last clean screen (adaptive policy only).
+  // (re)fit or last clean screen.
   std::vector<std::size_t> last_fit_rows(m, samples.num_samples());
   const auto maybe_refit = [&](bool force) {
     if (!options_.sample_reuse) return;
     const std::size_t now = samples.num_samples();
-    if (force || !options_.adaptive_refit) {
-      const std::size_t grown = now - last_fit_samples;
-      if (grown == 0) return;
-      // Periodic legacy refits wait for ~50% fresh data; a stuck round
-      // refits on whatever arrived.
-      if (!force && 2 * grown < last_fit_samples) return;
-    }
+    // A stuck round refits on whatever arrived since the last one.
+    if (force && now == last_fit_samples) return;
     obs::Span span("refit", "phase", trace_id);
     // Staleness screen. Periodic refits only touch candidates that
     // mis-predict rows appended since their last fit: mismatches on older
@@ -541,8 +515,7 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
     // escape hatch that converts budget-exhausting families into
     // certified ones; see bench/micro_core BM_ReuseRefit*).
     std::vector<std::size_t> refit_jobs;
-    bool adaptive_trigger = false;
-    if (!force && options_.adaptive_refit) {
+    if (!force) {
       for (const std::size_t i : jobs) {
         // A screen pass is real work (matrix simulations); keep the PR-3
         // contract that cancellation/timeout is observed with bounded
@@ -550,7 +523,7 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
         // the watermarks untouched — the loop head reports kTimeout next.
         if (deadline.expired()) return;
         const std::size_t fresh = now - last_fit_rows[i];
-        if (fresh < options_.adaptive_refit_min_fresh) continue;
+        if (fresh < kRefitMinFresh) continue;
         const std::vector<std::uint64_t> sim =
             aig::simulate_matrix(manager, f[i], samples);
         const std::size_t mismatches = packed_mismatches_since(
@@ -560,20 +533,17 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
           // measured only over rows this candidate has not yet absorbed.
           last_fit_rows[i] = now;
         } else if (static_cast<double>(mismatches) >=
-                   options_.adaptive_refit_error_rate *
-                       static_cast<double>(fresh)) {
+                   kRefitErrorRate * static_cast<double>(fresh)) {
           refit_jobs.push_back(i);
         }
       }
-      adaptive_trigger = !refit_jobs.empty();
     } else {
-      const std::size_t screen_from = force ? 0 : last_fit_samples;
       for (const std::size_t i : jobs) {
         if (deadline.expired()) return;
         const std::vector<std::uint64_t> sim =
             aig::simulate_matrix(manager, f[i], samples);
         if (packed_mismatches_since(sim, samples.column(ex[i].var), samples,
-                                    screen_from) != 0) {
+                                    0) != 0) {
           refit_jobs.push_back(i);
         }
       }
@@ -602,7 +572,7 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
       feature_refs[i].resize(keep);
     }
     ++stats.refit_rounds;
-    if (adaptive_trigger) ++stats.adaptive_refits;
+    if (!force) ++stats.adaptive_refits;
     run_fits(refit_jobs, stats.refit_rounds);
     // Adopt with a cycle guard: edges recorded while adopting earlier
     // batch-mates can invalidate a feature this tree was fitted with; a
@@ -656,33 +626,15 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
     // counterexample next time instead of the same one forever.
     const std::uint64_t round_seed = util::derive_seed(
         options_.seed, kVerifySalt, stats.counterexamples + 1);
-    const double round_branch_freq = no_progress_rounds > 0 ? 0.1 : 0.0;
-    const bool round_random_polarity = no_progress_rounds > 0;
     sat::Result verify_result;
-    std::optional<sat::Solver> oneshot_solver;  // oracle mode: owns δ
     {
       obs::Span span("verify.round", "phase", trace_id);
-      if (options_.incremental) {
-        sat::Solver& verify_solver = verifier->solver();
-        verify_solver.reseed(round_seed);
-        verify_solver.options().random_branch_freq = round_branch_freq;
-        verify_solver.options().random_polarity = round_random_polarity;
-        verify_result = verifier->check(dqbf::HenkinVector{f}, deadline);
-      } else {
-        const cnf::CnfFormula refutation =
-            dqbf::build_refutation_cnf(formula, manager,
-                                       dqbf::HenkinVector{f});
-        sat::SolverOptions verify_options;
-        verify_options.seed = round_seed;
-        verify_options.random_branch_freq = round_branch_freq;
-        verify_options.random_polarity = round_random_polarity;
-        oneshot_solver.emplace(verify_options);
-        if (!oneshot_solver->add_formula(refutation)) {
-          verify_result = sat::Result::kUnsat;
-        } else {
-          verify_result = oneshot_solver->solve({}, deadline);
-        }
-      }
+      sat::Solver& verify_solver = verifier->solver();
+      verify_solver.reseed(round_seed);
+      verify_solver.options().random_branch_freq =
+          no_progress_rounds > 0 ? 0.1 : 0.0;
+      verify_solver.options().random_polarity = no_progress_rounds > 0;
+      verify_result = verifier->check(dqbf::HenkinVector{f}, deadline);
     }
     stats.verify_seconds += phase_timer.seconds();
     if (verify_result == sat::Result::kUnknown) {
@@ -692,8 +644,7 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
 
     // δ: counterexample candidate-output assignment. Check whether δ[X]
     // extends to a model of φ at all (Algorithm 1, line 13).
-    const cnf::Assignment& delta =
-        options_.incremental ? verifier->model() : oneshot_solver->model();
+    const cnf::Assignment& delta = verifier->model();
     std::vector<Lit> x_assumptions;
     x_assumptions.reserve(formula.universals().size());
     for (const Var x : formula.universals()) {
@@ -726,40 +677,19 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
     // FindCandi: MaxSAT with φ ∧ (X ↔ σ[X]) hard, (Y ↔ σ[Y']) soft.
     ++stats.maxsat_calls;
     maxsat::MaxSatStatus ms_status;
-    std::function<bool(std::size_t)> soft_satisfied;
-    std::optional<maxsat::MaxSatSolver> oneshot_maxsat;  // oracle mode
     {
       obs::Span span("maxsat.round", "phase", trace_id);
-      if (options_.incremental) {
-        std::vector<Lit> hard_units;
-        hard_units.reserve(formula.universals().size());
-        for (const Var x : formula.universals()) {
-          hard_units.push_back(unit_lit(x, pi.value(x)));
-        }
-        std::vector<Lit> soft_units;
-        soft_units.reserve(m);
-        for (std::size_t i = 0; i < m; ++i) {
-          soft_units.push_back(unit_lit(ex[i].var, sigma_yp[i]));
-        }
-        ms_status =
-            repair_maxsat.solve_round(hard_units, soft_units, &deadline);
-        soft_satisfied = [&](std::size_t i) {
-          return repair_maxsat.soft_satisfied(i);
-        };
-      } else {
-        oneshot_maxsat.emplace();
-        oneshot_maxsat->add_hard_formula(matrix);
-        for (const Var x : formula.universals()) {
-          oneshot_maxsat->add_hard({unit_lit(x, pi.value(x))});
-        }
-        for (std::size_t i = 0; i < m; ++i) {
-          oneshot_maxsat->add_soft({unit_lit(ex[i].var, sigma_yp[i])});
-        }
-        ms_status = oneshot_maxsat->solve(&deadline);
-        soft_satisfied = [&](std::size_t i) {
-          return oneshot_maxsat->soft_satisfied(i);
-        };
+      std::vector<Lit> hard_units;
+      hard_units.reserve(formula.universals().size());
+      for (const Var x : formula.universals()) {
+        hard_units.push_back(unit_lit(x, pi.value(x)));
       }
+      std::vector<Lit> soft_units;
+      soft_units.reserve(m);
+      for (std::size_t i = 0; i < m; ++i) {
+        soft_units.push_back(unit_lit(ex[i].var, sigma_yp[i]));
+      }
+      ms_status = repair_maxsat.solve_round(hard_units, soft_units, &deadline);
     }
     if (ms_status == maxsat::MaxSatStatus::kUnknown) {
       return finish(SynthesisStatus::kTimeout);
@@ -771,13 +701,10 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
     // The MaxSAT-corrected σ is a model of φ ∧ (X ↔ π[X]) closest to the
     // candidate outputs — exactly the data point the learner was missing
     // on this counterexample (reuse).
-    if (options_.sample_reuse) {
-      append_sample(options_.incremental ? repair_maxsat.model()
-                                         : oneshot_maxsat->model());
-    }
+    if (options_.sample_reuse) append_sample(repair_maxsat.model());
     std::deque<std::size_t> queue;
     for (std::size_t i = 0; i < m; ++i) {
-      if (!soft_satisfied(i)) queue.push_back(i);
+      if (!repair_maxsat.soft_satisfied(i)) queue.push_back(i);
     }
 
     std::vector<bool> processed(m, false);
@@ -860,8 +787,7 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
         // session — stream it into the training matrix so the next refit
         // sees the repair neighborhood, not just the per-counterexample
         // MaxSAT points.
-        if (options_.sample_reuse && options_.stream_gk_samples &&
-            append_sample(rho)) {
+        if (options_.sample_reuse && append_sample(rho)) {
           ++stats.gk_streamed_samples;
         }
         for (std::size_t t = 0; t < m; ++t) {

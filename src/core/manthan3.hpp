@@ -52,54 +52,23 @@ struct Manthan3Options {
   /// propagations. Null = not cancellable; must outlive synthesize().
   const util::CancelToken* cancel = nullptr;
   /// Workers for per-existential candidate learning: decision-tree
-  /// fitting fans across an engine::Scheduler pool. Fitting is pure and
+  /// fitting fans across a util::Scheduler pool. Fitting is pure and
   /// each existential draws a util::derive_seed-split stream, so results
   /// are bit-identical at every worker count. 1 = in-thread.
   std::size_t learn_workers = 1;
-  /// Use the persistent incremental verify/repair pipeline (one
-  /// IncrementalRefutation verify solver for the whole run; the φ solver
-  /// shared with an activation-scoped MaxSAT). false = re-encode both
-  /// from scratch every round — kept as the differential-testing oracle
-  /// and benchmark baseline. (Seeding also moved to derive_seed streams,
-  /// so the oracle reproduces the old pipeline's *cost structure*, not
-  /// its exact pre-refactor search trajectories.)
-  bool incremental = true;
-  /// Fit decision trees straight from the bit-packed SampleMatrix
-  /// (popcount split counting). false = unpack per-existential rows and
-  /// run the row-wise learner — the differential oracle; both paths
-  /// produce bit-identical trees, so the whole synthesis trajectory
-  /// matches field-for-field at a fixed seed.
-  bool packed_learning = true;
   /// Cross-round sample reuse: append every repair counterexample's
-  /// φ-extension π and each MaxSAT-corrected σ to the training matrix
-  /// (fingerprint-deduped), and refit candidates that disagree with the
-  /// refreshed data — screened by 64-way AIG simulation over the matrix —
-  /// when the matrix has grown substantially or a verification round made
-  /// no repair progress. Later refits therefore train on
-  /// counterexample-corrected data instead of the stale round-0 samples.
+  /// φ-extension π, each MaxSAT-corrected σ and every SAT G_k model ρ to
+  /// the training matrix (fingerprint-deduped), and refit candidates that
+  /// disagree with the refreshed data — screened by 64-way AIG simulation
+  /// over the matrix. A candidate is refit when its error rate over the
+  /// rows appended since its own last fit reaches 5% (measured once 16
+  /// fresh rows arrived), and a verification round that repairs nothing
+  /// screens every candidate against the whole matrix. Later refits
+  /// therefore train on counterexample-corrected data instead of the
+  /// stale round-0 samples.
   bool sample_reuse = true;
-  /// Streaming sample harvest (sample_reuse only): when a repair G_k query
-  /// comes back SAT, its model ρ is a full model of φ produced by a solver
-  /// session that is already hot — append it to the training matrix
-  /// (fingerprint-deduped) instead of discarding it. Later refits then see
-  /// the repair neighborhood of the counterexample, not just the one
-  /// MaxSAT-corrected point per round.
-  bool stream_gk_samples = true;
-  /// Refit trigger policy (sample_reuse only). true = adaptive: every
-  /// round, each candidate with at least adaptive_refit_min_fresh rows
-  /// appended since its own last fit is batch-simulated over the matrix
-  /// (cheap — the SIMD data path), and is refit when its error rate over
-  /// those fresh rows reaches adaptive_refit_error_rate. false = legacy
-  /// global policy: screen only after the whole matrix grew ~50% since
-  /// the previous screen. No-progress rounds force a full-matrix screen
-  /// under either policy.
-  bool adaptive_refit = true;
-  /// Minimum fresh rows before a candidate's error rate is measured.
-  std::size_t adaptive_refit_min_fresh = 16;
-  /// Fresh-row error rate at which a candidate is refit.
-  double adaptive_refit_error_rate = 0.05;
-  /// Inter-round maintenance on the persistent solvers (incremental
-  /// pipeline only): every `inprocess_interval` counterexamples, run SAT
+  /// Inter-round maintenance on the persistent solvers: every
+  /// `inprocess_interval` counterexamples (0 = never), run SAT
   /// inprocessing (occurrence-list subsumption + self-subsumption,
   /// bounded variable elimination, clause vivification) and variable-range
   /// compaction on the verify solver and the shared φ/MaxSAT solver.
@@ -107,7 +76,6 @@ struct Manthan3Options {
   /// round variables are reclaimed, so daemon-length runs stop leaking
   /// variable ids. Sound by construction: interface variables are frozen
   /// and the remapper translates models/cores back to stable numbering.
-  bool inprocess = true;
   std::size_t inprocess_interval = 32;
   /// Cross-instance analysis cache (the service's tier 2): unique-def
   /// Padoa verdicts and the dependency ⊆/= relations are looked up by
@@ -159,11 +127,7 @@ struct SynthesisStats {
   double verify_seconds = 0.0;
   double repair_seconds = 0.0;
   double total_seconds = 0.0;
-  // --- incremental-pipeline counters. The verify-solver block (cones,
-  // aig nodes, verify_*) is zero when incremental = false; learn_workers
-  // and the φ-solver fields are reported for every run — the persistent
-  // φ solver exists in both pipelines (the oracle just never retires
-  // anything on it). -------------------------------------------------------
+  // --- persistent verify and φ/MaxSAT solver counters ---------------------
   /// Worker count used for candidate learning.
   std::size_t learn_workers = 1;
   /// Candidate output equivalences (re-)encoded into the verify solver.
@@ -182,8 +146,7 @@ struct SynthesisStats {
   std::size_t phi_vars = 0;
   /// Clause records reclaimed by retirement in the φ/MaxSAT solver.
   std::size_t phi_clauses_retired = 0;
-  // --- solver maintenance (zero when inprocess = false or the oracle
-  // pipeline runs) ---------------------------------------------------------
+  // --- solver maintenance (zero when inprocess_interval = 0) -------------
   /// Inprocessing passes across the verify and φ/MaxSAT solvers.
   std::size_t inprocess_runs = 0;
   /// Variables removed by bounded variable elimination (both solvers).
@@ -198,19 +161,18 @@ struct SynthesisStats {
   /// Counterexample-derived samples appended to the training matrix
   /// (π extensions and MaxSAT-corrected σ, deduped by fingerprint).
   std::size_t samples_appended = 0;
-  /// Refit passes triggered by matrix growth / no-progress rounds.
+  /// Refit passes triggered by fresh-row errors / no-progress rounds.
   std::size_t refit_rounds = 0;
   /// Refit candidates adopted across all passes. Screened twice: only
   /// candidates whose packed-sim predictions disagree with rows appended
   /// since their last fit are refit, and a refit whose support would
   /// create a dependency cycle is rejected (its predecessor stays).
   std::size_t refit_candidates = 0;
-  /// G_k-SAT models streamed into the matrix (stream_gk_samples; subset
-  /// of samples_appended).
+  /// G_k-SAT models streamed into the matrix (subset of samples_appended).
   std::size_t gk_streamed_samples = 0;
-  /// Refit passes triggered by the adaptive per-candidate error-rate
-  /// policy (subset of refit_rounds; forced no-progress refits and legacy
-  /// growth-triggered refits are not counted here).
+  /// Refit passes triggered by the per-candidate error-rate policy
+  /// (subset of refit_rounds; forced no-progress refits are not counted
+  /// here).
   std::size_t adaptive_refits = 0;
   // --- tier-2 analysis cache (zero when analysis_cache is null) -----------
   /// Padoa verdicts answered from the cache (SAT checks skipped).
@@ -223,8 +185,7 @@ struct SynthesisStats {
   std::uint64_t peak_rss_bytes = 0;
   /// Heap bytes of the bit-packed training matrix at run end.
   std::uint64_t sample_matrix_bytes = 0;
-  /// Clause-arena bytes of the persistent verify solver (incremental
-  /// pipeline; 0 for the oracle).
+  /// Clause-arena bytes of the persistent verify solver.
   std::uint64_t verify_arena_bytes = 0;
   /// Clause-arena bytes of the shared φ/MaxSAT solver.
   std::uint64_t phi_arena_bytes = 0;

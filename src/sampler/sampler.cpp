@@ -36,43 +36,23 @@ cnf::SampleMatrix Sampler::sample_packed(const CnfFormula& formula,
     if (count == 0) return;
     std::size_t duplicates = 0;
     const std::size_t max_duplicates = 16 + 4 * count;
-    if (options_.enumerate) {
-      // Persistent enumerating session: the deadline/duplicate budget is
-      // polled inside the harvest loop, one check per descent.
-      const sat::ModelSink sink = [&](const Assignment& model) {
-        if (deadline != nullptr && deadline->expired()) return false;
-        if (seen.insert(cnf::fingerprint(model, matrix.num_vars()))
-                .second) {
-          matrix.append(model);
-          return --count > 0;
-        }
-        ++stats_.duplicates;
-        return ++duplicates < max_duplicates;
-      };
-      solver.enumerate(sink, {}, deadline);
-      return;
-    }
-    // Legacy loop: one full CDCL solve per model (distribution oracle).
-    while (count > 0) {
-      if (deadline != nullptr && deadline->expired()) break;
-      const sat::Result result =
-          deadline != nullptr ? solver.solve({}, *deadline) : solver.solve();
-      if (result != sat::Result::kSat) break;
-      if (seen.insert(cnf::fingerprint(solver.model(), matrix.num_vars()))
-              .second) {
-        matrix.append(solver.model());
-        --count;
-      } else {
-        ++stats_.duplicates;
-        if (++duplicates >= max_duplicates) break;
+    // The deadline/duplicate budget is polled inside the harvest loop, one
+    // check per descent.
+    const sat::ModelSink sink = [&](const Assignment& model) {
+      if (deadline != nullptr && deadline->expired()) return false;
+      if (seen.insert(cnf::fingerprint(model, matrix.num_vars())).second) {
+        matrix.append(model);
+        return --count > 0;
       }
-    }
+      ++stats_.duplicates;
+      return ++duplicates < max_duplicates;
+    };
+    solver.enumerate(sink, {}, deadline);
   };
 
   // Probe round: unbiased random polarities.
   sat::SolverOptions probe_options;
   probe_options.random_polarity = true;
-  probe_options.random_branch_freq = options_.random_branch_freq;
   probe_options.seed = options_.seed;
   sat::Solver solver(probe_options);
   if (!solver.add_formula(formula)) return matrix;
@@ -111,21 +91,11 @@ cnf::SampleMatrix Sampler::sample_packed(const CnfFormula& formula,
   // Main round with the learned biases.
   stats_.main_round = true;
   obs::Span main_span("sample.main");
-  const std::uint64_t main_seed = options_.seed ^ 0x5deece66dULL;
-  if (options_.enumerate) {
-    // Same session keeps its learnt clauses; only the polarity bias and
-    // the decision RNG stream change between rounds.
-    solver.options().polarity_bias = bias;
-    solver.reseed(main_seed);
-    draw(solver, options_.num_samples - matrix.num_samples());
-  } else {
-    sat::SolverOptions main_options = probe_options;
-    main_options.seed = main_seed;
-    main_options.polarity_bias = bias;
-    sat::Solver main_solver(main_options);
-    if (!main_solver.add_formula(formula)) return matrix;
-    draw(main_solver, options_.num_samples - matrix.num_samples());
-  }
+  // Same session keeps its learnt clauses; only the polarity bias and the
+  // decision RNG stream change between rounds.
+  solver.options().polarity_bias = bias;
+  solver.reseed(options_.seed ^ 0x5deece66dULL);
+  draw(solver, options_.num_samples - matrix.num_samples());
   stats_.main_samples = matrix.num_samples() - stats_.probe_samples;
   return matrix;
 }

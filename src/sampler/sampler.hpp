@@ -4,16 +4,14 @@
 // quasi-uniform models of the specification to serve as training data for
 // candidate learning.
 //
-// Front end (default): one persistent *enumerating* solver session per
-// sampling run — the CDCL search hands back a model per phase-scrambled
-// descent (sat::Solver::enumerate) instead of paying a full solve() call
-// per model, duplicates are dropped by 64-bit model fingerprint instead of
+// Front end: one persistent *enumerating* solver session per sampling
+// run — the CDCL search hands back a model per phase-scrambled descent
+// (sat::Solver::enumerate) instead of paying a full solve() call per
+// model, duplicates are dropped by 64-bit model fingerprint instead of
 // hashing whole vector<bool> keys, and models land directly in a
 // column-major bit-packed cnf::SampleMatrix (one uint64_t word per 64
 // samples per variable) that the decision-tree learner and the AIG
-// batch simulator consume without re-packing. The pre-existing
-// one-solve-per-model loop is kept behind `enumerate = false` as the
-// distribution oracle and benchmark baseline.
+// batch simulator consume without re-packing.
 //
 // Adaptive weighting (as in Manthan): a small probe round with unbiased
 // polarities measures, for each output variable, the fraction of models in
@@ -46,15 +44,6 @@ struct SamplerOptions {
   /// Skew thresholds: fraction of true above/below which bias kicks in.
   double skew_high = 0.65;
   double skew_low = 0.35;
-  /// Fraction of random decisions in the underlying solver (legacy
-  /// one-solve-per-model path only; the enumerating session branches on a
-  /// fresh random permutation every descent instead).
-  double random_branch_freq = 0.2;
-  /// Harvest models from a persistent enumerating solver session (one
-  /// phase-scrambled descent per model). false = the legacy loop running
-  /// one full CDCL solve() per model — kept as the distribution oracle
-  /// and the before/after benchmark baseline.
-  bool enumerate = true;
   std::uint64_t seed = 42;
 };
 

@@ -15,8 +15,7 @@
 //
 // Layering: the class lives in util (below sat/core) so the synthesis
 // engine can fan work across it without a link cycle through the engine
-// module, which depends on core. engine/scheduler.hpp aliases it back
-// into manthan::engine, where the portfolio-facing clients know it from.
+// module, which depends on core.
 //
 // Shutdown semantics: the destructor drains — already-submitted jobs all
 // run to completion before the workers join. Cancellation of in-flight

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -16,9 +17,9 @@
 #include "baselines/pedant_lite.hpp"
 #include "engine/engine.hpp"
 #include "engine/race.hpp"
-#include "engine/scheduler.hpp"
 #include "sat/solver.hpp"
 #include "util/cancel.hpp"
+#include "util/scheduler.hpp"
 #include "util/timer.hpp"
 #include "workloads/workloads.hpp"
 
@@ -63,7 +64,7 @@ TEST(CancelToken, TimeLimitStillExpiresWithoutCancel) {
 // --- Scheduler --------------------------------------------------------------
 
 TEST(Scheduler, ReturnsResultsThroughFutures) {
-  Scheduler pool(4);
+  util::Scheduler pool(4);
   EXPECT_EQ(pool.worker_count(), 4u);
   std::vector<std::future<int>> futures;
   for (int i = 0; i < 64; ++i) {
@@ -75,7 +76,7 @@ TEST(Scheduler, ReturnsResultsThroughFutures) {
 TEST(Scheduler, SingleWorkerRunsFifo) {
   std::vector<int> order;
   {
-    Scheduler pool(1);
+    util::Scheduler pool(1);
     std::vector<std::future<void>> futures;
     for (int i = 0; i < 32; ++i) {
       futures.push_back(pool.submit([i, &order]() { order.push_back(i); }));
@@ -89,7 +90,7 @@ TEST(Scheduler, SingleWorkerRunsFifo) {
 TEST(Scheduler, DestructorDrainsQueuedJobs) {
   std::atomic<int> done{0};
   {
-    Scheduler pool(2);
+    util::Scheduler pool(2);
     for (int i = 0; i < 100; ++i) {
       pool.submit([&done]() { done.fetch_add(1); });
     }
@@ -99,14 +100,14 @@ TEST(Scheduler, DestructorDrainsQueuedJobs) {
 }
 
 TEST(Scheduler, ExceptionsArriveThroughTheFuture) {
-  Scheduler pool(2);
+  util::Scheduler pool(2);
   auto future = pool.submit(
       []() -> int { throw std::runtime_error("job failed"); });
   EXPECT_THROW(future.get(), std::runtime_error);
 }
 
 TEST(Scheduler, ZeroWorkersClampedToOne) {
-  Scheduler pool(0);
+  util::Scheduler pool(0);
   EXPECT_EQ(pool.worker_count(), 1u);
   EXPECT_EQ(pool.submit([]() { return 7; }).get(), 7);
 }
@@ -288,6 +289,28 @@ TEST(RunEngine, NamesAreStable) {
   EXPECT_STREQ(engine_name(EngineKind::kHqsLite), "HqsLite");
   EXPECT_STREQ(engine_name(EngineKind::kPedantLite), "PedantLite");
   EXPECT_STREQ(status_name(core::SynthesisStatus::kTimeout), "timeout");
+}
+
+TEST(RunEngine, StatusNamesRoundTrip) {
+  for (const core::SynthesisStatus status :
+       {core::SynthesisStatus::kRealizable,
+        core::SynthesisStatus::kUnrealizable,
+        core::SynthesisStatus::kIncomplete, core::SynthesisStatus::kLimit,
+        core::SynthesisStatus::kTimeout, core::SynthesisStatus::kOutOfBudget,
+        core::SynthesisStatus::kInternalError}) {
+    EXPECT_EQ(status_from_name(status_name(status)), status)
+        << status_name(status);
+  }
+  EXPECT_EQ(status_from_name("?"), std::nullopt);
+}
+
+TEST(RunEngine, EngineNamesRoundTrip) {
+  for (const EngineKind kind : {EngineKind::kManthan3, EngineKind::kHqsLite,
+                                EngineKind::kPedantLite}) {
+    EXPECT_EQ(engine_from_name(engine_name(kind)), kind) << engine_name(kind);
+  }
+  EXPECT_EQ(engine_from_name("hqs"), std::nullopt);
+  EXPECT_EQ(engine_from_name("?"), std::nullopt);
 }
 
 // --- racing portfolio -------------------------------------------------------

@@ -224,36 +224,6 @@ TEST(Manthan3, StatsArepopulated) {
   }
 }
 
-TEST(Manthan3, PackedLearningMatchesRowwiseOracleEndToEnd) {
-  // packed_learning only changes the split-counting machinery; the trees
-  // are bit-identical, so the *entire* synthesis trajectory — functions,
-  // counterexamples, repairs, refits — must match field-for-field.
-  for (const std::uint64_t seed : {5ull, 23ull, 71ull}) {
-    const dqbf::DqbfFormula f = testutil::small_planted(seed);
-    Manthan3Options packed_options;
-    packed_options.time_limit_seconds = 30.0;
-    packed_options.packed_learning = true;
-    Manthan3Options rowwise_options = packed_options;
-    rowwise_options.packed_learning = false;
-    aig::Aig packed_manager;
-    const SynthesisResult packed =
-        Manthan3(packed_options).synthesize(f, packed_manager);
-    aig::Aig rowwise_manager;
-    const SynthesisResult rowwise =
-        Manthan3(rowwise_options).synthesize(f, rowwise_manager);
-    ASSERT_EQ(packed.status, rowwise.status) << "seed " << seed;
-    EXPECT_EQ(packed.vector.functions, rowwise.vector.functions)
-        << "seed " << seed;
-    EXPECT_EQ(packed.stats.samples, rowwise.stats.samples);
-    EXPECT_EQ(packed.stats.counterexamples, rowwise.stats.counterexamples);
-    EXPECT_EQ(packed.stats.repairs, rowwise.stats.repairs);
-    EXPECT_EQ(packed.stats.repair_checks, rowwise.stats.repair_checks);
-    EXPECT_EQ(packed.stats.refit_rounds, rowwise.stats.refit_rounds);
-    EXPECT_EQ(packed.stats.refit_candidates, rowwise.stats.refit_candidates);
-    EXPECT_EQ(packed.stats.samples_appended, rowwise.stats.samples_appended);
-  }
-}
-
 TEST(Manthan3, SampleReuseStaysSoundAndCertified) {
   // Counterexample-heavy nested-dependency instance: reuse appends
   // samples and refits candidates mid-run; whatever the outcome, any
@@ -295,7 +265,6 @@ TEST(Manthan3, SolverMaintenanceFiresAndStaysCertified) {
   const dqbf::DqbfFormula f = workloads::gen_planted(params);
   Manthan3Options options;
   options.time_limit_seconds = 30.0;
-  options.inprocess = true;
   options.inprocess_interval = 1;  // fire on every counterexample
   // Starve the learner so the first candidates are wrong and the
   // verify/repair loop actually runs.
@@ -314,7 +283,7 @@ TEST(Manthan3, SolverMaintenanceFiresAndStaysCertified) {
 
   // Maintenance off: counters stay zero, answer still sound.
   Manthan3Options off = options;
-  off.inprocess = false;
+  off.inprocess_interval = 0;
   aig::Aig manager2;
   const SynthesisResult baseline = run(f, manager2, off);
   if (baseline.status == SynthesisStatus::kRealizable) {

@@ -313,9 +313,9 @@ TEST(Trace, ConcurrentSpansAndLiveWritesAreRaceFree) {
 
 core::SynthesisResult traced_run(std::uint64_t seed, std::size_t workers,
                                  std::uint64_t trace_id) {
-  // Multi-round planted family (micro_core's shape): the PR-5 front end
-  // is pinned off so verification produces counterexamples and the trace
-  // shows verify/repair/maxsat rounds, not just a round-0 certificate.
+  // Multi-round planted family (micro_core's shape): the sampler is
+  // starved so verification produces counterexamples and the trace shows
+  // verify/repair/maxsat rounds, not just a round-0 certificate.
   workloads::PlantedParams params;
   params.num_universals = 12;
   params.num_existentials = 6;
@@ -330,7 +330,8 @@ core::SynthesisResult traced_run(std::uint64_t seed, std::size_t workers,
   core::Manthan3Options options;
   options.time_limit_seconds = 120.0;
   options.max_counterexamples = 300;
-  options.sampler.enumerate = false;
+  options.sampler.num_samples = 4;
+  options.sampler.probe_samples = 4;
   options.seed = seed;
   options.learn_workers = workers;
   options.trace_id = trace_id;
