@@ -101,7 +101,7 @@ inline bool load_cache(std::vector<portfolio::RunRecord>& records) {
           certified >> r.seconds)) {
       return false;
     }
-    const std::optional<portfolio::EngineKind> kind =
+    const std::optional<engine::EngineKind> kind =
         engine::engine_from_name(engine_tok);
     const std::optional<core::SynthesisStatus> status =
         engine::status_from_name(status_tok);
@@ -140,9 +140,9 @@ inline const std::vector<portfolio::RunRecord>& bench_records() {
     options.per_instance_seconds = env_budget();
     portfolio::Runner runner(options);
     std::vector<portfolio::RunRecord> fresh = runner.run_suite(
-        bench_suite(), {portfolio::EngineKind::kManthan3,
-                        portfolio::EngineKind::kHqsLite,
-                        portfolio::EngineKind::kPedantLite});
+        bench_suite(), {engine::EngineKind::kManthan3,
+                        engine::EngineKind::kHqsLite,
+                        engine::EngineKind::kPedantLite});
     detail::save_cache(fresh);
     return fresh;
   }();

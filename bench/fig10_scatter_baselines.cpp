@@ -7,7 +7,7 @@
 #include "bench_common.hpp"
 
 int main() {
-  using manthan::portfolio::EngineKind;
+  using manthan::engine::EngineKind;
   const auto& records = manthan::bench::bench_records();
   const double timeout = manthan::bench::timeout_marker();
 

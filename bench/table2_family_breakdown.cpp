@@ -12,7 +12,7 @@
 #include "dqbf/stats.hpp"
 
 int main() {
-  using manthan::portfolio::EngineKind;
+  using manthan::engine::EngineKind;
   const auto& suite = manthan::bench::bench_suite();
   const auto& records = manthan::bench::bench_records();
 

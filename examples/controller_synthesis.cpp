@@ -9,7 +9,7 @@
 #include "baselines/hqs_lite.hpp"
 #include "core/manthan3.hpp"
 #include "dqbf/certificate.hpp"
-#include "portfolio/runner.hpp"
+#include "engine/engine.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -62,7 +62,7 @@ void run_variant(bool fully_observable) {
       break;
     default: {
       std::cout << "  Manthan3 gave up ("
-                << manthan::portfolio::status_name(result.status)
+                << manthan::engine::status_name(result.status)
                 << "); asking the elimination engine for a verdict\n";
       manthan::aig::Aig manager2;
       manthan::baselines::HqsLiteOptions hqs_options;
@@ -70,7 +70,7 @@ void run_variant(bool fully_observable) {
       manthan::baselines::HqsLite hqs(hqs_options);
       const auto verdict = hqs.synthesize(game, manager2);
       std::cout << "  HqsLite: "
-                << manthan::portfolio::status_name(verdict.status) << "\n";
+                << manthan::engine::status_name(verdict.status) << "\n";
       break;
     }
   }

@@ -32,7 +32,6 @@
 #include "engine/service.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "portfolio/runner.hpp"
 #include "preprocess/hqspre_lite.hpp"
 #include "util/simd.hpp"
 #include "workloads/workloads.hpp"
@@ -250,45 +249,27 @@ int main(int argc, char** argv) {
   }
   if (g_interrupt.cancelled()) {
     std::cout << "interrupted: truncated "
-              << manthan::portfolio::status_name(result.status)
+              << manthan::engine::status_name(result.status)
               << " result after " << result.stats.total_seconds << " s\n";
   }
 
   std::cout << "engine: " << cli.engine << ", status: "
-            << manthan::portfolio::status_name(result.status) << " ("
+            << manthan::engine::status_name(result.status) << " ("
             << result.stats.total_seconds << " s, "
             << result.stats.counterexamples << " counterexamples, "
             << result.stats.repairs << " repairs)\n";
+  // One `stat <name> <value>` line per SynthesisStats field, in schema
+  // order and in the .m3c cache's number format.
+  manthan::core::for_each_stat(
+      result.stats,
+      [](const char* name, const auto& value, manthan::core::StatClass) {
+        std::cout << "stat " << name << ' '
+                  << manthan::core::format_stat(value) << '\n';
+      });
   if (cli.engine == "manthan3") {
-    // Incremental-pipeline accounting: how much encoding work the
-    // persistent solvers avoided and reclaimed across the run.
-    std::cout << "incremental: " << result.stats.cones_encoded
-              << " cones encoded, " << result.stats.cones_reused
-              << " reused, " << result.stats.aig_nodes_encoded
-              << " AIG nodes Tseitin'd, " << result.stats.activations_retired
-              << " activations retired\n"
-              << "solvers: verify " << result.stats.verify_vars << " vars / "
-              << result.stats.verify_clauses_retired
-              << " clauses retired, phi+maxsat " << result.stats.phi_vars
-              << " vars / " << result.stats.phi_clauses_retired
-              << " clauses retired\n"
-              << "reuse: " << result.stats.samples_appended
-              << " counterexample samples appended ("
-              << result.stats.gk_streamed_samples << " streamed from G_k), "
-              << result.stats.refit_rounds << " refit rounds ("
-              << result.stats.adaptive_refits << " adaptive) / "
-              << result.stats.refit_candidates << " candidates refit\n";
     std::cout << "simd: " << manthan::util::simd::tier_name(
                      manthan::util::simd::active_tier())
               << " data path\n";
-    std::cout << "memory: peak RSS "
-              << result.stats.peak_rss_bytes / (1024 * 1024) << " MiB, "
-              << "sample matrix " << result.stats.sample_matrix_bytes / 1024
-              << " KiB, verify arena "
-              << result.stats.verify_arena_bytes / 1024
-              << " KiB, phi arena " << result.stats.phi_arena_bytes / 1024
-              << " KiB, AIG " << result.stats.aig_nodes << " nodes ("
-              << result.stats.aig_bytes / 1024 << " KiB)\n";
   }
   write_telemetry(cli);
   if (result.status == manthan::core::SynthesisStatus::kUnrealizable) {

@@ -11,7 +11,7 @@
 #include "baselines/hqs_lite.hpp"
 #include "core/manthan3.hpp"
 #include "dqbf/certificate.hpp"
-#include "portfolio/runner.hpp"
+#include "engine/engine.hpp"
 #include "workloads/workloads.hpp"
 
 int main() {
@@ -72,7 +72,7 @@ int main() {
   const manthan::core::SynthesisResult hqs_result =
       hqs.synthesize(spec, manager2);
   std::cout << "HqsLite on the same instance: "
-            << manthan::portfolio::status_name(hqs_result.status) << "\n";
+            << manthan::engine::status_name(hqs_result.status) << "\n";
 
   return cert.status == manthan::dqbf::CertificateStatus::kValid ? 0 : 1;
 }

@@ -28,9 +28,9 @@ int main() {
   manthan::portfolio::Runner runner(options);
   const std::vector<manthan::portfolio::RunRecord> records =
       runner.run_suite(suite,
-                       {manthan::portfolio::EngineKind::kManthan3,
-                        manthan::portfolio::EngineKind::kHqsLite,
-                        manthan::portfolio::EngineKind::kPedantLite},
+                       {manthan::engine::EngineKind::kManthan3,
+                        manthan::engine::EngineKind::kHqsLite,
+                        manthan::engine::EngineKind::kPedantLite},
                        manthan::portfolio::ParallelOptions{workers});
 
   manthan::portfolio::print_run_records(std::cout, records);

@@ -5,6 +5,8 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -80,7 +82,38 @@ std::size_t packed_mismatches_since(const std::vector<std::uint64_t>& sim,
   return count + kernels.popcount_xor(sim.data() + w, label + w, words - w);
 }
 
+/// Adds a run's deterministic std::size_t counters to their
+/// core_<name>_total series (the std::uint64_t fields are end-of-run
+/// snapshots, not counters). The instruments are looked up once, one slot
+/// per schema field in schema order, null where nothing is published.
+void publish_core_counters(const SynthesisStats& stats) {
+  auto& registry = obs::Registry::global();
+  static obs::Counter* const counters[] = {
+#define MANTHAN_CORE_COUNTER(type, name, cls)               \
+  StatClass::cls == StatClass::kDeterministic &&          \
+          std::string_view(#type) == "std::size_t"        \
+      ? &registry.counter("core_" #name "_total")         \
+      : nullptr,
+      MANTHAN_SYNTHESIS_STATS(MANTHAN_CORE_COUNTER)
+#undef MANTHAN_CORE_COUNTER
+  };
+  obs::Counter* const* counter = counters;
+  for_each_stat(stats, [&counter](const char*, const auto& value, StatClass) {
+    if (*counter != nullptr) {
+      (*counter)->add(static_cast<std::uint64_t>(value));
+    }
+    ++counter;
+  });
+}
+
 }  // namespace
+
+std::string format_stat(double value) {
+  std::ostringstream out;
+  out.precision(17);
+  out << value;
+  return out.str();
+}
 
 Manthan3::Manthan3(Manthan3Options options) : options_(options) {}
 
@@ -150,41 +183,22 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
       stats.verify_arena_bytes = vs.arena_bytes;
       add_maintenance(vs);
     }
-    // Memory snapshot (process-global values; see the stats doc).
+    // Memory snapshot at run end (peak RSS is process-global).
     stats.peak_rss_bytes = obs::peak_rss_bytes();
     stats.sample_matrix_bytes = samples.bytes();
     stats.phi_arena_bytes = phi_stats.arena_bytes;
     stats.aig_nodes = manager.num_nodes();
     stats.aig_bytes = manager.node_bytes();
-    // Publish run counters into the global registry (core_* series).
-    // Instrument references are cached after the first run.
+    // Publish the run into the global registry (core_* series).
+    publish_core_counters(stats);
     auto& registry = obs::Registry::global();
     static obs::Counter& runs = registry.counter("core_runs_total");
-    static obs::Counter& cex =
-        registry.counter("core_counterexamples_total");
-    static obs::Counter& repairs = registry.counter("core_repairs_total");
-    static obs::Counter& maxsat_calls =
-        registry.counter("core_maxsat_calls_total");
-    static obs::Counter& refits = registry.counter("core_refit_rounds_total");
-    static obs::Counter& streamed =
-        registry.counter("core_streamed_samples_total");
-    static obs::Counter& adaptive =
-        registry.counter("core_adaptive_refits_total");
-    static obs::Counter& samples_total =
-        registry.counter("core_samples_total");
     static obs::Histogram& run_seconds =
         registry.histogram("core_synthesize_seconds");
     static obs::Gauge& matrix_peak =
         registry.gauge("core_sample_matrix_peak_bytes");
     static obs::Gauge& aig_peak = registry.gauge("core_aig_peak_bytes");
     runs.inc();
-    cex.add(stats.counterexamples);
-    repairs.add(stats.repairs);
-    maxsat_calls.add(stats.maxsat_calls);
-    refits.add(stats.refit_rounds);
-    streamed.add(stats.gk_streamed_samples);
-    adaptive.add(stats.adaptive_refits);
-    samples_total.add(stats.samples + stats.samples_appended);
     run_seconds.observe(stats.total_seconds);
     matrix_peak.update_max(static_cast<double>(stats.sample_matrix_bytes));
     aig_peak.update_max(static_cast<double>(stats.aig_bytes));

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -114,86 +115,140 @@ enum class SynthesisStatus {
                   // never produced by the engines themselves
 };
 
-struct SynthesisStats {
-  std::size_t samples = 0;
-  std::size_t unique_defined = 0;
-  std::size_t learned_candidates = 0;
-  std::size_t counterexamples = 0;
-  std::size_t repairs = 0;
-  std::size_t repair_checks = 0;   // G_k satisfiability queries
-  std::size_t maxsat_calls = 0;
-  double sampling_seconds = 0.0;
-  double learning_seconds = 0.0;
-  double verify_seconds = 0.0;
-  double repair_seconds = 0.0;
-  double total_seconds = 0.0;
-  // --- persistent verify and φ/MaxSAT solver counters ---------------------
-  /// Worker count used for candidate learning.
-  std::size_t learn_workers = 1;
-  /// Candidate output equivalences (re-)encoded into the verify solver.
-  std::size_t cones_encoded = 0;
-  /// Per-round candidates whose cached cone encoding was reused as-is.
-  std::size_t cones_reused = 0;
-  /// Fresh AIG nodes Tseitin-encoded by the verify solver's cone cache.
-  std::size_t aig_nodes_encoded = 0;
-  /// Activation guards retired across the verify and φ/MaxSAT solvers.
-  std::size_t activations_retired = 0;
-  /// Variables allocated in the persistent verify solver.
-  std::size_t verify_vars = 0;
-  /// Clause records reclaimed by retirement in the verify solver.
-  std::size_t verify_clauses_retired = 0;
-  /// Variables allocated in the shared φ/MaxSAT solver.
-  std::size_t phi_vars = 0;
-  /// Clause records reclaimed by retirement in the φ/MaxSAT solver.
-  std::size_t phi_clauses_retired = 0;
-  // --- solver maintenance (zero when inprocess_interval = 0) -------------
-  /// Inprocessing passes across the verify and φ/MaxSAT solvers.
-  std::size_t inprocess_runs = 0;
-  /// Variables removed by bounded variable elimination (both solvers).
-  std::size_t eliminated_vars = 0;
-  /// Clauses removed by occurrence-list subsumption (both solvers).
-  std::size_t subsumed_clauses = 0;
-  /// Literals removed by clause vivification (both solvers).
-  std::size_t vivified_literals = 0;
-  /// Internal variable slots reclaimed by compaction (both solvers).
-  std::size_t remapped_vars = 0;
-  // --- cross-round sample reuse (zero when sample_reuse = false) ----------
-  /// Counterexample-derived samples appended to the training matrix
-  /// (π extensions and MaxSAT-corrected σ, deduped by fingerprint).
-  std::size_t samples_appended = 0;
-  /// Refit passes triggered by fresh-row errors / no-progress rounds.
-  std::size_t refit_rounds = 0;
-  /// Refit candidates adopted across all passes. Screened twice: only
-  /// candidates whose packed-sim predictions disagree with rows appended
-  /// since their last fit are refit, and a refit whose support would
-  /// create a dependency cycle is rejected (its predecessor stays).
-  std::size_t refit_candidates = 0;
-  /// G_k-SAT models streamed into the matrix (subset of samples_appended).
-  std::size_t gk_streamed_samples = 0;
-  /// Refit passes triggered by the per-candidate error-rate policy
-  /// (subset of refit_rounds; forced no-progress refits are not counted
-  /// here).
-  std::size_t adaptive_refits = 0;
-  // --- tier-2 analysis cache (zero when analysis_cache is null) -----------
-  /// Padoa verdicts answered from the cache (SAT checks skipped).
-  std::size_t analysis_unique_hits = 0;
-  /// Dependency ⊆/= relations answered from the cache (1 per warm run).
-  std::size_t analysis_dependency_hits = 0;
-  // --- memory accounting (snapshots at run end; process-global values are
-  // non-deterministic and excluded from determinism comparisons) -----------
-  /// Process-wide peak resident set size in bytes.
-  std::uint64_t peak_rss_bytes = 0;
-  /// Heap bytes of the bit-packed training matrix at run end.
-  std::uint64_t sample_matrix_bytes = 0;
-  /// Clause-arena bytes of the persistent verify solver.
-  std::uint64_t verify_arena_bytes = 0;
-  /// Clause-arena bytes of the shared φ/MaxSAT solver.
-  std::uint64_t phi_arena_bytes = 0;
-  /// AND/input nodes in the shared AIG manager at run end.
-  std::uint64_t aig_nodes = 0;
-  /// Heap bytes of the AIG node table at run end.
-  std::uint64_t aig_bytes = 0;
+/// Determinism class of a SynthesisStats field: which comparisons between
+/// two runs at the same seed it takes part in.
+enum class StatClass {
+  /// Trajectory counters: equal at a fixed seed whatever the worker
+  /// count, tracing state, SIMD tier or cache state.
+  kDeterministic,
+  /// Tier-2 analysis-cache hits: equal only at the same cache state.
+  kTier2,
+  /// The environment (wall clock, process RSS, worker count): never
+  /// compared.
+  kRun,
 };
+
+// The SynthesisStats schema, one X(type, name, class) entry per field in
+// declaration order. The struct members, for_each_stat, and through it
+// every exporter (.m3c cache files, daemon result JSON, core_<name>_total
+// series, manthan3_cli `stat` lines) and the determinism tests are
+// generated from this list. Comments inside the macro must be block
+// comments: a line comment would swallow the line continuation.
+#define MANTHAN_SYNTHESIS_STATS(X)                                           \
+  /* Training rows drawn by the sampler before round 0. */                   \
+  X(std::size_t, samples, kDeterministic)                                    \
+  /* Existentials defined by unique-def extraction (Padoa). */               \
+  X(std::size_t, unique_defined, kDeterministic)                             \
+  /* Candidates learned by decision-tree fitting. */                         \
+  X(std::size_t, learned_candidates, kDeterministic)                         \
+  /* Verification counterexamples. */                                        \
+  X(std::size_t, counterexamples, kDeterministic)                            \
+  /* Candidate repairs applied. */                                           \
+  X(std::size_t, repairs, kDeterministic)                                    \
+  /* G_k satisfiability queries. */                                          \
+  X(std::size_t, repair_checks, kDeterministic)                              \
+  /* MaxSAT rounds selecting repair candidates. */                           \
+  X(std::size_t, maxsat_calls, kDeterministic)                               \
+  /* Wall-clock seconds per phase and for the whole run. */                  \
+  X(double, sampling_seconds, kRun)                                          \
+  X(double, learning_seconds, kRun)                                          \
+  X(double, verify_seconds, kRun)                                            \
+  X(double, repair_seconds, kRun)                                            \
+  X(double, total_seconds, kRun)                                             \
+  /* --- persistent verify and φ/MaxSAT solver counters --- */               \
+  /* Worker count used for candidate learning (0 when the run learned      \
+     nothing: the baselines, or a run that ended before learning). */       \
+  X(std::size_t, learn_workers, kRun)                                        \
+  /* Candidate output equivalences (re-)encoded into the verify solver. */   \
+  X(std::size_t, cones_encoded, kDeterministic)                              \
+  /* Per-round candidates whose cached cone encoding was reused as-is. */    \
+  X(std::size_t, cones_reused, kDeterministic)                               \
+  /* Fresh AIG nodes Tseitin-encoded by the verify solver's cone cache. */   \
+  X(std::size_t, aig_nodes_encoded, kDeterministic)                          \
+  /* Activation guards retired across the verify and φ/MaxSAT                \
+     solvers. */                                                             \
+  X(std::size_t, activations_retired, kDeterministic)                        \
+  /* Variables allocated in the persistent verify solver. */                 \
+  X(std::size_t, verify_vars, kDeterministic)                                \
+  /* Clause records reclaimed by retirement in the verify solver. */         \
+  X(std::size_t, verify_clauses_retired, kDeterministic)                     \
+  /* Variables allocated in the shared φ/MaxSAT solver. */                   \
+  X(std::size_t, phi_vars, kDeterministic)                                   \
+  /* Clause records reclaimed by retirement in the φ/MaxSAT solver. */       \
+  X(std::size_t, phi_clauses_retired, kDeterministic)                        \
+  /* --- solver maintenance (zero when inprocess_interval = 0) --- */        \
+  /* Inprocessing passes across the verify and φ/MaxSAT solvers. */          \
+  X(std::size_t, inprocess_runs, kDeterministic)                             \
+  /* Variables removed by bounded variable elimination (both solvers). */    \
+  X(std::size_t, eliminated_vars, kDeterministic)                            \
+  /* Clauses removed by occurrence-list subsumption (both solvers). */       \
+  X(std::size_t, subsumed_clauses, kDeterministic)                           \
+  /* Literals removed by clause vivification (both solvers). */              \
+  X(std::size_t, vivified_literals, kDeterministic)                          \
+  /* Internal variable slots reclaimed by compaction (both solvers). */      \
+  X(std::size_t, remapped_vars, kDeterministic)                              \
+  /* --- cross-round sample reuse (zero when sample_reuse = false) --- */    \
+  /* Counterexample-derived samples appended to the training matrix (π       \
+     extensions and MaxSAT-corrected σ, deduped by fingerprint). */          \
+  X(std::size_t, samples_appended, kDeterministic)                           \
+  /* Refit passes triggered by fresh-row errors / no-progress rounds. */     \
+  X(std::size_t, refit_rounds, kDeterministic)                               \
+  /* Refit candidates adopted across all passes. Screened twice: only        \
+     candidates whose packed-sim predictions disagree with rows appended     \
+     since their last fit are refit, and a refit whose support would         \
+     create a dependency cycle is rejected (its predecessor stays). */       \
+  X(std::size_t, refit_candidates, kDeterministic)                           \
+  /* G_k-SAT models streamed into the matrix (subset of                      \
+     samples_appended). */                                                   \
+  X(std::size_t, gk_streamed_samples, kDeterministic)                        \
+  /* Refit passes triggered by the per-candidate error-rate policy           \
+     (subset of refit_rounds; forced no-progress refits are not counted      \
+     here). */                                                               \
+  X(std::size_t, adaptive_refits, kDeterministic)                            \
+  /* --- tier-2 analysis cache (zero when analysis_cache is null) --- */     \
+  /* Padoa verdicts answered from the cache (SAT checks skipped). */         \
+  X(std::size_t, analysis_unique_hits, kTier2)                               \
+  /* Dependency ⊆/= relations answered from the cache (1 per                 \
+     warm run). */                                                           \
+  X(std::size_t, analysis_dependency_hits, kTier2)                           \
+  /* --- memory accounting (snapshots at run end) --- */                     \
+  /* Process-wide peak resident set size in bytes. */                        \
+  X(std::uint64_t, peak_rss_bytes, kRun)                                     \
+  /* Heap bytes of the bit-packed training matrix at run end. */             \
+  X(std::uint64_t, sample_matrix_bytes, kDeterministic)                      \
+  /* Clause-arena bytes of the persistent verify solver. */                  \
+  X(std::uint64_t, verify_arena_bytes, kDeterministic)                       \
+  /* Clause-arena bytes of the shared φ/MaxSAT solver. */                    \
+  X(std::uint64_t, phi_arena_bytes, kDeterministic)                          \
+  /* AND/input nodes in the shared AIG manager at run end. */                \
+  X(std::uint64_t, aig_nodes, kDeterministic)                                \
+  /* Heap bytes of the AIG node table at run end. */                         \
+  X(std::uint64_t, aig_bytes, kDeterministic)
+
+struct SynthesisStats {
+#define MANTHAN_STAT_MEMBER(type, name, cls) type name{};
+  MANTHAN_SYNTHESIS_STATS(MANTHAN_STAT_MEMBER)
+#undef MANTHAN_STAT_MEMBER
+};
+
+/// Calls f(name, value, class) for every SynthesisStats field, in schema
+/// order. `value` refers into `stats`, so a decoder passes a mutable
+/// SynthesisStats and assigns through it.
+template <class Stats, class F>
+void for_each_stat(Stats& stats, F&& f) {
+#define MANTHAN_STAT_VISIT(type, name, cls) \
+  f(#name, stats.name, StatClass::cls);
+  MANTHAN_SYNTHESIS_STATS(MANTHAN_STAT_VISIT)
+#undef MANTHAN_STAT_VISIT
+}
+
+/// The text form every stats exporter shares: integers in decimal, doubles
+/// at precision 17 so they read back bit-exact.
+std::string format_stat(double value);
+template <class T, std::enable_if_t<std::is_integral_v<T>, int> = 0>
+std::string format_stat(T value) {
+  return std::to_string(value);
+}
 
 struct SynthesisResult {
   SynthesisStatus status = SynthesisStatus::kLimit;

@@ -79,7 +79,6 @@ std::string result_json(const std::string& request_name,
                         const dqbf::DqbfFormula& formula,
                         const ServiceResponse& response,
                         bool with_certificate) {
-  const core::SynthesisStats& st = response.stats;
   std::ostringstream out;
   out << "{\n";
   out << "  \"request\": \"" << json_escape(request_name) << "\",\n";
@@ -93,15 +92,14 @@ std::string result_json(const std::string& request_name,
   out << "  \"seconds\": " << response.solve_seconds << ",\n";
   out << "  \"fingerprint\": \"" << dqbf::to_string(response.fingerprint)
       << "\",\n";
-  out << "  \"stats\": {\n";
-  out << "    \"samples\": " << st.samples << ",\n";
-  out << "    \"unique_defined\": " << st.unique_defined << ",\n";
-  out << "    \"counterexamples\": " << st.counterexamples << ",\n";
-  out << "    \"repairs\": " << st.repairs << ",\n";
-  out << "    \"analysis_unique_hits\": " << st.analysis_unique_hits << ",\n";
-  out << "    \"analysis_dependency_hits\": " << st.analysis_dependency_hits
-      << "\n";
-  out << "  }";
+  out << "  \"stats\": {";
+  const char* separator = "\n";
+  core::for_each_stat(response.stats, [&](const char* name, const auto& value,
+                                          core::StatClass) {
+    out << separator << "    \"" << name << "\": " << core::format_stat(value);
+    separator = ",\n";
+  });
+  out << "\n  }";
   if (with_certificate && response.solved() &&
       response.functions != nullptr) {
     out << ",\n  \"functions_blif\": \""

@@ -24,9 +24,15 @@
 // the original id of each dense AIGER input so the reload can rebuild
 // the cone over the right variables.
 //
-// Unknown `stat` names are skipped on load (forward compatibility);
-// anything else malformed — bad magic, missing field, AIGER parse error,
-// root-count mismatch — skips the entry, never aborts the service.
+// The `stat` lines come from the one stats schema (core::for_each_stat
+// over MANTHAN_SYNTHESIS_STATS, in schema order) and share
+// core::format_stat with every other exporter: integers in decimal,
+// doubles at precision 17 so they reload bit-exact. The reader matches
+// lines by name, so their order carries no meaning; a field missing from
+// an older file keeps its zero default, and unknown `stat` names are
+// skipped (forward compatibility). Anything else malformed — bad magic,
+// missing field, AIGER parse error, root-count mismatch — skips the
+// entry, never aborts the service.
 // Files are written through obs::write_file_atomic (tmp + rename), so a
 // crash mid-store leaves either the old file or a stray .tmp, never a
 // half entry under the real name.
@@ -37,6 +43,7 @@
 #include <fstream>
 #include <sstream>
 #include <system_error>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -53,78 +60,8 @@ namespace fs = std::filesystem;
 constexpr const char* kMagic = "manthan3-cache 1";
 constexpr const char* kExtension = ".m3c";
 
-struct SizeField {
-  const char* name;
-  std::size_t core::SynthesisStats::*member;
-};
-struct U64Field {
-  const char* name;
-  std::uint64_t core::SynthesisStats::*member;
-};
-struct DoubleField {
-  const char* name;
-  double core::SynthesisStats::*member;
-};
-
-// Every SynthesisStats field, by name: the envelope stays valid when
-// fields are appended (old readers skip, new readers default to zero).
-const SizeField kSizeFields[] = {
-    {"samples", &core::SynthesisStats::samples},
-    {"unique_defined", &core::SynthesisStats::unique_defined},
-    {"learned_candidates", &core::SynthesisStats::learned_candidates},
-    {"counterexamples", &core::SynthesisStats::counterexamples},
-    {"repairs", &core::SynthesisStats::repairs},
-    {"repair_checks", &core::SynthesisStats::repair_checks},
-    {"maxsat_calls", &core::SynthesisStats::maxsat_calls},
-    {"learn_workers", &core::SynthesisStats::learn_workers},
-    {"cones_encoded", &core::SynthesisStats::cones_encoded},
-    {"cones_reused", &core::SynthesisStats::cones_reused},
-    {"aig_nodes_encoded", &core::SynthesisStats::aig_nodes_encoded},
-    {"activations_retired", &core::SynthesisStats::activations_retired},
-    {"verify_vars", &core::SynthesisStats::verify_vars},
-    {"verify_clauses_retired", &core::SynthesisStats::verify_clauses_retired},
-    {"phi_vars", &core::SynthesisStats::phi_vars},
-    {"phi_clauses_retired", &core::SynthesisStats::phi_clauses_retired},
-    {"inprocess_runs", &core::SynthesisStats::inprocess_runs},
-    {"eliminated_vars", &core::SynthesisStats::eliminated_vars},
-    {"subsumed_clauses", &core::SynthesisStats::subsumed_clauses},
-    {"vivified_literals", &core::SynthesisStats::vivified_literals},
-    {"remapped_vars", &core::SynthesisStats::remapped_vars},
-    {"samples_appended", &core::SynthesisStats::samples_appended},
-    {"refit_rounds", &core::SynthesisStats::refit_rounds},
-    {"refit_candidates", &core::SynthesisStats::refit_candidates},
-    {"gk_streamed_samples", &core::SynthesisStats::gk_streamed_samples},
-    {"adaptive_refits", &core::SynthesisStats::adaptive_refits},
-    {"analysis_unique_hits", &core::SynthesisStats::analysis_unique_hits},
-    {"analysis_dependency_hits",
-     &core::SynthesisStats::analysis_dependency_hits},
-};
-
-const U64Field kU64Fields[] = {
-    {"peak_rss_bytes", &core::SynthesisStats::peak_rss_bytes},
-    {"sample_matrix_bytes", &core::SynthesisStats::sample_matrix_bytes},
-    {"verify_arena_bytes", &core::SynthesisStats::verify_arena_bytes},
-    {"phi_arena_bytes", &core::SynthesisStats::phi_arena_bytes},
-    {"aig_nodes", &core::SynthesisStats::aig_nodes},
-    {"aig_bytes", &core::SynthesisStats::aig_bytes},
-};
-
-const DoubleField kDoubleFields[] = {
-    {"sampling_seconds", &core::SynthesisStats::sampling_seconds},
-    {"learning_seconds", &core::SynthesisStats::learning_seconds},
-    {"verify_seconds", &core::SynthesisStats::verify_seconds},
-    {"repair_seconds", &core::SynthesisStats::repair_seconds},
-    {"total_seconds", &core::SynthesisStats::total_seconds},
-};
-
-std::string format_double(double value) {
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
-}
-
-bool parse_u64(const std::string& text, std::uint64_t& out, int base = 10) {
+template <class T>
+bool parse_integer(const std::string& text, T& out, int base = 10) {
   const char* begin = text.data();
   const char* end = begin + text.size();
   const auto result = std::from_chars(begin, end, out, base);
@@ -141,10 +78,20 @@ bool parse_double(const std::string& text, double& out) {
   }
 }
 
+/// Reads a `stat` value into a schema field of either numeric type.
+template <class T>
+bool parse_stat(const std::string& text, T& out) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return parse_double(text, out);
+  } else {
+    return parse_integer(text, out);
+  }
+}
+
 bool parse_fingerprint(const std::string& hex, dqbf::Fingerprint& fp) {
   if (hex.size() != 32) return false;
-  return parse_u64(hex.substr(0, 16), fp.hi, 16) &&
-         parse_u64(hex.substr(16, 16), fp.lo, 16);
+  return parse_integer(hex.substr(0, 16), fp.hi, 16) &&
+         parse_integer(hex.substr(16, 16), fp.lo, 16);
 }
 
 /// Split "key value" (value may contain further spaces for `stat` lines).
@@ -195,17 +142,12 @@ std::string Service::encode_persisted(const CacheKey& key,
   out << "engine " << engine_name(response.engine) << '\n';
   out << "certified " << (response.certified ? 1 : 0) << '\n';
   out << "raced " << (response.raced ? 1 : 0) << '\n';
-  out << "solve_seconds " << format_double(response.solve_seconds) << '\n';
-  for (const SizeField& f : kSizeFields) {
-    out << "stat " << f.name << ' ' << response.stats.*f.member << '\n';
-  }
-  for (const U64Field& f : kU64Fields) {
-    out << "stat " << f.name << ' ' << response.stats.*f.member << '\n';
-  }
-  for (const DoubleField& f : kDoubleFields) {
-    out << "stat " << f.name << ' ' << format_double(response.stats.*f.member)
-        << '\n';
-  }
+  out << "solve_seconds " << core::format_stat(response.solve_seconds) << '\n';
+  core::for_each_stat(
+      response.stats, [&out](const char* name, const auto& value,
+                             core::StatClass) {
+        out << "stat " << name << ' ' << core::format_stat(value) << '\n';
+      });
   const std::size_t roots =
       response.functions != nullptr ? response.functions->roots().size() : 0;
   out << "roots " << roots << '\n';
@@ -247,7 +189,9 @@ std::optional<Service::PersistedEntry> Service::decode_persisted(
       have_fp = true;
     } else if (key == "mode") {
       std::uint64_t mode = 0;
-      if (!parse_u64(value, mode) || mode > 0xffffffffULL) return std::nullopt;
+      if (!parse_integer(value, mode) || mode > 0xffffffffULL) {
+        return std::nullopt;
+      }
       entry.key.mode = static_cast<std::uint32_t>(mode);
       have_mode = true;
     } else if (key == "status") {
@@ -271,41 +215,24 @@ std::optional<Service::PersistedEntry> Service::decode_persisted(
     } else if (key == "stat") {
       std::string name, number;
       if (!split_kv(value, name, number)) return std::nullopt;
-      bool known = false;
-      for (const SizeField& f : kSizeFields) {
-        if (name != f.name) continue;
-        std::uint64_t v = 0;
-        if (!parse_u64(number, v)) return std::nullopt;
-        entry.response.stats.*f.member = static_cast<std::size_t>(v);
-        known = true;
-        break;
-      }
-      for (const U64Field& f : kU64Fields) {
-        if (known || name != f.name) continue;
-        if (!parse_u64(number, entry.response.stats.*f.member)) {
-          return std::nullopt;
-        }
-        known = true;
-        break;
-      }
-      for (const DoubleField& f : kDoubleFields) {
-        if (known || name != f.name) continue;
-        if (!parse_double(number, entry.response.stats.*f.member)) {
-          return std::nullopt;
-        }
-        known = true;
-        break;
-      }
+      bool parsed = true;
+      core::for_each_stat(entry.response.stats,
+                          [&](const char* field, auto& v, core::StatClass) {
+                            if (name == field) parsed = parse_stat(number, v);
+                          });
+      if (!parsed) return std::nullopt;
       // Unknown stat names are fine: a newer writer added a field.
     } else if (key == "roots") {
-      if (!parse_u64(value, roots)) return std::nullopt;
+      if (!parse_integer(value, roots)) return std::nullopt;
       have_roots = true;
     } else if (key == "inputs") {
       std::istringstream ids(value);
       std::string token;
       while (ids >> token) {
         std::uint64_t id = 0;
-        if (!parse_u64(token, id) || id > 0x7fffffffULL) return std::nullopt;
+        if (!parse_integer(token, id) || id > 0x7fffffffULL) {
+          return std::nullopt;
+        }
         input_ids.push_back(static_cast<std::int32_t>(id));
       }
       if (input_ids.empty()) return std::nullopt;

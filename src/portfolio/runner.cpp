@@ -14,6 +14,8 @@
 
 namespace manthan::portfolio {
 
+using engine::EngineKind;
+
 Runner::Runner(RunnerOptions options) : options_(options) {}
 
 RunRecord Runner::run_one(const workloads::Instance& instance,

@@ -17,16 +17,10 @@
 
 namespace manthan::portfolio {
 
-// The engine identity and naming live in the execution-engine subsystem
-// (src/engine/); the portfolio layer re-exports them for its clients.
-using EngineKind = engine::EngineKind;
-using engine::engine_name;
-using engine::status_name;
-
 struct RunRecord {
   std::string instance;
   std::string family;
-  EngineKind engine = EngineKind::kManthan3;
+  engine::EngineKind engine = engine::EngineKind::kManthan3;
   core::SynthesisStatus status = core::SynthesisStatus::kLimit;
   /// Certificate-checker verdict for kRealizable results.
   bool certified = false;
@@ -68,12 +62,12 @@ class Runner {
   /// Run one engine on one instance and certify the result. Thread-safe:
   /// only reads the runner's options.
   RunRecord run_one(const workloads::Instance& instance,
-                    EngineKind engine) const;
+                    engine::EngineKind engine) const;
 
   /// Run every engine on every instance, serially.
   std::vector<RunRecord> run_suite(
       const std::vector<workloads::Instance>& suite,
-      const std::vector<EngineKind>& engines) const;
+      const std::vector<engine::EngineKind>& engines) const;
 
   /// Fan the instance×engine jobs across a scheduler thread pool.
   /// Records come back in the serial path's order (instance-major), and
@@ -82,7 +76,7 @@ class Runner {
   /// when budgets are comfortable).
   std::vector<RunRecord> run_suite(
       const std::vector<workloads::Instance>& suite,
-      const std::vector<EngineKind>& engines,
+      const std::vector<engine::EngineKind>& engines,
       const ParallelOptions& parallel) const;
 
   /// Route the suite through a synthesis service: every (instance,
@@ -96,7 +90,7 @@ class Runner {
   /// per_instance_seconds overrides the service default budget.
   std::vector<RunRecord> run_suite(
       const std::vector<workloads::Instance>& suite,
-      const std::vector<EngineKind>& engines,
+      const std::vector<engine::EngineKind>& engines,
       engine::Service& service) const;
 
  private:
@@ -108,8 +102,9 @@ class Runner {
 /// Runtime of the virtual best synthesizer on each instance: the minimum
 /// solving time among `engines` (only instances solved by at least one).
 /// Returned sorted ascending — exactly the series of a cactus plot.
-std::vector<double> vbs_cactus_series(const std::vector<RunRecord>& records,
-                                      const std::vector<EngineKind>& engines);
+std::vector<double> vbs_cactus_series(
+    const std::vector<RunRecord>& records,
+    const std::vector<engine::EngineKind>& engines);
 
 /// (x, y) pairs for a scatter plot: per instance, the solving time of each
 /// engine (or `timeout_value` when unsolved). VBS of several engines can
@@ -121,8 +116,8 @@ struct ScatterPoint {
 };
 std::vector<ScatterPoint> scatter_points(
     const std::vector<RunRecord>& records,
-    const std::vector<EngineKind>& x_engines,
-    const std::vector<EngineKind>& y_engines, double timeout_value);
+    const std::vector<engine::EngineKind>& x_engines,
+    const std::vector<engine::EngineKind>& y_engines, double timeout_value);
 
 /// Headline counts of §6: per-tool solved, VBS with/without Manthan3,
 /// fastest-tool counts, unique solves, and Manthan3's

@@ -99,8 +99,8 @@ void print_run_records(std::ostream& out,
       << '\n';
   for (const RunRecord& r : records) {
     out << std::left << std::setw(28) << r.instance << std::setw(14)
-        << r.family << std::setw(12) << engine_name(r.engine)
-        << std::setw(14) << status_name(r.status) << std::setw(6)
+        << r.family << std::setw(12) << engine::engine_name(r.engine)
+        << std::setw(14) << engine::status_name(r.status) << std::setw(6)
         << (r.solved() ? "yes" : (r.status ==
                                   core::SynthesisStatus::kRealizable
                                       ? "NO!"

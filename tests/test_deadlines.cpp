@@ -128,7 +128,7 @@ TEST(Deadlines, RunnerRecordsTimeoutsAsUnsolved) {
   options.per_instance_seconds = 1e-5;
   portfolio::Runner runner(options);
   const portfolio::RunRecord record =
-      runner.run_one(instance, portfolio::EngineKind::kManthan3);
+      runner.run_one(instance, engine::EngineKind::kManthan3);
   if (record.status != core::SynthesisStatus::kRealizable) {
     EXPECT_FALSE(record.solved());
   }

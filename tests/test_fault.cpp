@@ -476,9 +476,8 @@ TEST(ServiceBudget, GenerousDefaultBudgetDoesNotPerturbResults) {
   const ServiceResponse b = budgeted.submit(f).get();
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.certified, b.certified);
-  EXPECT_EQ(a.stats.samples, b.stats.samples);
-  EXPECT_EQ(a.stats.repairs, b.stats.repairs);
-  EXPECT_EQ(a.stats.counterexamples, b.stats.counterexamples);
+  testutil::expect_same_stats(a.stats, b.stats,
+                              {core::StatClass::kDeterministic});
 }
 
 // ---------------------------------------------------------------------------
@@ -545,10 +544,9 @@ TEST_F(PersistedCache, WarmHitAcrossServiceInstances) {
   EXPECT_EQ(warm.engine, cold.engine);
   EXPECT_EQ(warm.fingerprint.hi, cold.fingerprint.hi);
   EXPECT_EQ(warm.fingerprint.lo, cold.fingerprint.lo);
-  EXPECT_EQ(warm.stats.samples, cold.stats.samples);
-  EXPECT_EQ(warm.stats.repairs, cold.stats.repairs);
-  EXPECT_EQ(warm.stats.counterexamples, cold.stats.counterexamples);
-  EXPECT_EQ(warm.stats.aig_nodes_encoded, cold.stats.aig_nodes_encoded);
+  // Every field, doubles included, survives the .m3c round trip exactly.
+  testutil::expect_same_stats(warm.stats, cold.stats,
+                              testutil::kAllStatClasses);
   ASSERT_NE(warm.functions, nullptr);
   EXPECT_EQ(warm.functions->roots().size(), cold.functions->roots().size());
 

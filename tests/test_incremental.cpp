@@ -282,16 +282,10 @@ TEST_P(IncrementalPipeline, ParallelLearningMatchesSerialFieldForField) {
       // edges must be bit-identical, not merely equivalent.
       EXPECT_EQ(parallel.vector.functions, serial.vector.functions)
           << "seed " << seed << " workers " << workers;
-      EXPECT_EQ(parallel.stats.samples, serial.stats.samples);
-      EXPECT_EQ(parallel.stats.learned_candidates,
-                serial.stats.learned_candidates);
-      EXPECT_EQ(parallel.stats.counterexamples,
-                serial.stats.counterexamples);
-      EXPECT_EQ(parallel.stats.repairs, serial.stats.repairs);
-      EXPECT_EQ(parallel.stats.repair_checks, serial.stats.repair_checks);
-      EXPECT_EQ(parallel.stats.maxsat_calls, serial.stats.maxsat_calls);
-      EXPECT_EQ(parallel.stats.cones_encoded, serial.stats.cones_encoded);
-      EXPECT_EQ(parallel.stats.cones_reused, serial.stats.cones_reused);
+      testutil::expect_same_stats(
+          parallel.stats, serial.stats, {core::StatClass::kDeterministic},
+          "seed " + std::to_string(seed) + " workers " +
+              std::to_string(workers));
     }
   }
 }

@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "obs/memory.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "test_util.hpp"
 #include "workloads/workloads.hpp"
 
 namespace manthan::obs {
@@ -415,20 +417,6 @@ TEST(Trace, ChromeTraceIsWellFormedAndNested) {
 
 // ---- determinism: telemetry is an observer, not a participant ------------
 
-void expect_same_trajectory(const core::SynthesisStats& a,
-                            const core::SynthesisStats& b) {
-  EXPECT_EQ(a.samples, b.samples);
-  EXPECT_EQ(a.unique_defined, b.unique_defined);
-  EXPECT_EQ(a.learned_candidates, b.learned_candidates);
-  EXPECT_EQ(a.counterexamples, b.counterexamples);
-  EXPECT_EQ(a.repairs, b.repairs);
-  EXPECT_EQ(a.repair_checks, b.repair_checks);
-  EXPECT_EQ(a.maxsat_calls, b.maxsat_calls);
-  EXPECT_EQ(a.cones_encoded, b.cones_encoded);
-  EXPECT_EQ(a.aig_nodes_encoded, b.aig_nodes_encoded);
-  EXPECT_EQ(a.aig_nodes, b.aig_nodes);
-}
-
 TEST(Trace, TracingDoesNotPerturbSynthesis) {
   // Cold (tracing off) vs warm (tracing on): identical derive_seed
   // streams, so every per-round counter must match field for field.
@@ -438,7 +426,8 @@ TEST(Trace, TracingDoesNotPerturbSynthesis) {
   stop_tracing();
   clear_trace();
   EXPECT_EQ(off.status, on.status);
-  expect_same_trajectory(off.stats, on.stats);
+  testutil::expect_same_stats(off.stats, on.stats,
+                              {core::StatClass::kDeterministic});
 }
 
 TEST(Trace, ParallelLearningMatchesSerialUnderTracing) {
@@ -448,7 +437,42 @@ TEST(Trace, ParallelLearningMatchesSerialUnderTracing) {
   stop_tracing();
   clear_trace();
   EXPECT_EQ(serial.status, parallel.status);
-  expect_same_trajectory(serial.stats, parallel.stats);
+  testutil::expect_same_stats(serial.stats, parallel.stats,
+                              {core::StatClass::kDeterministic});
+}
+
+TEST(Metrics, SynthesisPublishesEveryDeterministicCounter) {
+  // One core_<name>_total series per deterministic std::size_t field of
+  // the stats schema, advanced by exactly the run's value.
+  std::map<std::string, std::uint64_t> before;
+  for (const auto& [name, value] : Registry::global().snapshot().counters) {
+    before[name] = value;
+  }
+  const core::SynthesisResult result = traced_run(42, 1, 0);
+  const MetricsSnapshot after = Registry::global().snapshot();
+  const std::string prom = Registry::global().to_prometheus();
+  const auto delta = [&](const std::string& series) -> std::uint64_t {
+    for (const auto& [name, value] : after.counters) {
+      if (name == series) return value - before[name];
+    }
+    ADD_FAILURE() << "no series " << series;
+    return 0;
+  };
+  std::size_t published = 0;
+#define EXPECT_CORE_COUNTER(type, name, cls)                               \
+  if (core::StatClass::cls == core::StatClass::kDeterministic &&           \
+      std::string_view(#type) == "std::size_t") {                          \
+    EXPECT_NE(prom.find("\ncore_" #name "_total "), std::string::npos)     \
+        << #name;                                                          \
+    EXPECT_EQ(delta("core_" #name "_total"),                               \
+              static_cast<std::uint64_t>(result.stats.name))               \
+        << #name;                                                          \
+    ++published;                                                           \
+  }
+  MANTHAN_SYNTHESIS_STATS(EXPECT_CORE_COUNTER)
+#undef EXPECT_CORE_COUNTER
+  EXPECT_GE(published, 20u);
+  EXPECT_EQ(delta("core_runs_total"), 1u);
 }
 
 TEST(Files, WriteFileAtomicReplacesContent) {

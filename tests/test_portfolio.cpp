@@ -11,6 +11,8 @@
 namespace manthan::portfolio {
 namespace {
 
+using engine::EngineKind;
+
 RunRecord make_record(const std::string& instance, EngineKind engine,
                       core::SynthesisStatus status, bool certified,
                       double seconds) {
@@ -130,7 +132,7 @@ TEST(Runner, RunsPaperExampleWithAllEngines) {
   ASSERT_EQ(records.size(), 3u);
   for (const RunRecord& r : records) {
     EXPECT_TRUE(r.solved()) << engine_name(r.engine) << " status "
-                            << status_name(r.status);
+                            << engine::status_name(r.status);
     EXPECT_GT(r.seconds, 0.0);
   }
 }
@@ -217,9 +219,9 @@ TEST(Tables, EngineAndStatusNames) {
   EXPECT_STREQ(engine_name(EngineKind::kManthan3), "Manthan3");
   EXPECT_STREQ(engine_name(EngineKind::kHqsLite), "HqsLite");
   EXPECT_STREQ(engine_name(EngineKind::kPedantLite), "PedantLite");
-  EXPECT_STREQ(status_name(core::SynthesisStatus::kRealizable),
+  EXPECT_STREQ(engine::status_name(core::SynthesisStatus::kRealizable),
                "realizable");
-  EXPECT_STREQ(status_name(core::SynthesisStatus::kIncomplete),
+  EXPECT_STREQ(engine::status_name(core::SynthesisStatus::kIncomplete),
                "incomplete");
 }
 

@@ -155,7 +155,7 @@ TEST(Sampler, DeterministicForSeed) {
 // These properties were first checked against a one-solve-per-model draw
 // loop; the thresholds are the ones that loop met.
 
-TEST(SamplerEnumerate, ModelsValidAndPairwiseDistinctInBothModes) {
+TEST(SamplerEnumerate, ModelsValidAndPairwiseDistinct) {
   CnfFormula f(12);
   f.add_clause({pos(0), pos(1)});
   f.add_clause({neg(2), pos(3)});
@@ -172,7 +172,7 @@ TEST(SamplerEnumerate, ModelsValidAndPairwiseDistinctInBothModes) {
   }
 }
 
-TEST(SamplerEnumerate, MatchesLegacyDistributionSanity) {
+TEST(SamplerEnumerate, CoversBothPolaritiesOfFreeVariables) {
   // 8 free variables, unbiased polarities: the session must cover both
   // polarities of every variable at a healthy rate, not collapse onto a
   // corner of the model space.
@@ -196,7 +196,7 @@ TEST(SamplerEnumerate, MatchesLegacyDistributionSanity) {
   }
 }
 
-TEST(SamplerEnumerate, ExhaustsSmallModelSpacesLikeLegacy) {
+TEST(SamplerEnumerate, ExhaustsSmallModelSpaces) {
   // Only 4 models exist; the session must find all of them (and stop).
   CnfFormula f(3);
   f.add_clause({neg(2), pos(0), pos(1)});

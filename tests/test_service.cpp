@@ -37,36 +37,6 @@ dqbf::DqbfFormula slow_for_manthan3() {
   return workloads::gen_planted(params);
 }
 
-/// All deterministic counters of a run (wall-clock fields excluded; the
-/// tier-2 hit counters are compared separately because warm runs skip
-/// the work the counters count).
-void expect_same_counters(const core::SynthesisStats& a,
-                          const core::SynthesisStats& b) {
-  EXPECT_EQ(a.samples, b.samples);
-  EXPECT_EQ(a.unique_defined, b.unique_defined);
-  EXPECT_EQ(a.learned_candidates, b.learned_candidates);
-  EXPECT_EQ(a.counterexamples, b.counterexamples);
-  EXPECT_EQ(a.repairs, b.repairs);
-  EXPECT_EQ(a.repair_checks, b.repair_checks);
-  EXPECT_EQ(a.maxsat_calls, b.maxsat_calls);
-  EXPECT_EQ(a.cones_encoded, b.cones_encoded);
-  EXPECT_EQ(a.cones_reused, b.cones_reused);
-  EXPECT_EQ(a.aig_nodes_encoded, b.aig_nodes_encoded);
-  EXPECT_EQ(a.activations_retired, b.activations_retired);
-  EXPECT_EQ(a.verify_vars, b.verify_vars);
-  EXPECT_EQ(a.verify_clauses_retired, b.verify_clauses_retired);
-  EXPECT_EQ(a.phi_vars, b.phi_vars);
-  EXPECT_EQ(a.phi_clauses_retired, b.phi_clauses_retired);
-  EXPECT_EQ(a.inprocess_runs, b.inprocess_runs);
-  EXPECT_EQ(a.eliminated_vars, b.eliminated_vars);
-  EXPECT_EQ(a.subsumed_clauses, b.subsumed_clauses);
-  EXPECT_EQ(a.vivified_literals, b.vivified_literals);
-  EXPECT_EQ(a.remapped_vars, b.remapped_vars);
-  EXPECT_EQ(a.samples_appended, b.samples_appended);
-  EXPECT_EQ(a.refit_rounds, b.refit_rounds);
-  EXPECT_EQ(a.refit_candidates, b.refit_candidates);
-}
-
 ServiceOptions single_engine_service(std::size_t workers = 1) {
   ServiceOptions options;
   options.workers = workers;
@@ -141,7 +111,9 @@ TEST(Service, DuplicateRequestHitsCache) {
   EXPECT_EQ(warm.response.fingerprint, cold.response.fingerprint);
   EXPECT_EQ(warm.response.engine, cold.response.engine);
   EXPECT_EQ(warm.response.status, cold.response.status);
-  expect_same_counters(warm.response.stats, cold.response.stats);
+  // A tier-1 hit returns the stored stats record, every field of it.
+  testutil::expect_same_stats(warm.response.stats, cold.response.stats,
+                              testutil::kAllStatClasses);
   // Same strashed manager: the imported cones are literally the same
   // nodes, so a warm result is indistinguishable from re-solving.
   EXPECT_EQ(warm.vector.functions, cold.vector.functions);
@@ -225,8 +197,10 @@ TEST(Service, WarmMatchesColdAcrossServices) {
   EXPECT_EQ(warm.response.status, cold.response.status);
   EXPECT_EQ(warm.response.certified, cold.response.certified);
   EXPECT_EQ(warm.response.engine, cold.response.engine);
-  expect_same_counters(first.response.stats, cold.response.stats);
-  expect_same_counters(warm.response.stats, cold.response.stats);
+  testutil::expect_same_stats(first.response.stats, cold.response.stats,
+                              {core::StatClass::kDeterministic});
+  testutil::expect_same_stats(warm.response.stats, cold.response.stats,
+                              {core::StatClass::kDeterministic});
   EXPECT_EQ(warm.vector.functions.size(), cold.vector.functions.size());
 }
 
@@ -469,7 +443,9 @@ TEST(Runner, SuiteTwiceThroughServiceHitsTier1) {
     EXPECT_TRUE(second[i].cache_hit) << second[i].instance;
     EXPECT_EQ(second[i].status, first[i].status);
     EXPECT_EQ(second[i].certified, first[i].certified);
-    expect_same_counters(second[i].stats, first[i].stats);
+    testutil::expect_same_stats(second[i].stats, first[i].stats,
+                                testutil::kAllStatClasses,
+                                second[i].instance);
   }
   EXPECT_GE(service.stats().tier1_hits, suite.size());
 }
@@ -532,6 +508,26 @@ TEST_F(DaemonQueue, DrainsCertifiesAndCachesDuplicates) {
   const DrainReport again = drain_queue(service, options);
   EXPECT_EQ(again.processed, 0u);
   EXPECT_EQ(again.skipped, 3u);
+}
+
+TEST_F(DaemonQueue, ResultJsonListsEveryStatsField) {
+  write_request("a.dqdimacs",
+                dqbf::to_dqdimacs_string(testutil::paper_example()));
+  Service service(single_engine_service());
+  DaemonOptions options;
+  options.queue_dir = dir_.string();
+  ASSERT_EQ(drain_queue(service, options).solved, 1u);
+
+  std::ifstream in(dir_ / "a.result.json");
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const core::SynthesisStats schema;
+  core::for_each_stat(
+      schema, [&](const char* name, const auto&, core::StatClass) {
+        EXPECT_NE(json.find("\"" + std::string(name) + "\": "),
+                  std::string::npos)
+            << name;
+      });
 }
 
 TEST_F(DaemonQueue, PreCancelledStopDrainsNothing) {

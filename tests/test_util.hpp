@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "core/manthan3.hpp"
 #include "dqbf/certificate.hpp"
@@ -109,6 +112,35 @@ inline void expect_certified(const dqbf::DqbfFormula& f,
                              const core::SynthesisResult& result) {
   ASSERT_EQ(result.status, core::SynthesisStatus::kRealizable);
   EXPECT_TRUE(is_certified(f, manager, result));
+}
+
+// --- stats comparison ------------------------------------------------------
+
+/// Every determinism class; pass it to compare the whole stats record.
+inline constexpr std::initializer_list<core::StatClass> kAllStatClasses = {
+    core::StatClass::kDeterministic, core::StatClass::kTier2,
+    core::StatClass::kRun};
+
+/// Expects every SynthesisStats field of a class in `classes` to be equal
+/// in `a` and `b`. Values compare in their exporter text form, which is
+/// exact for doubles too; a failure names the field and `context`.
+inline void expect_same_stats(const core::SynthesisStats& a,
+                              const core::SynthesisStats& b,
+                              std::initializer_list<core::StatClass> classes,
+                              const std::string& context = "") {
+  std::vector<std::string> expected;
+  core::for_each_stat(a, [&](const char*, const auto& value, core::StatClass) {
+    expected.push_back(core::format_stat(value));
+  });
+  std::size_t field = 0;
+  core::for_each_stat(b, [&](const char* name, const auto& value,
+                             core::StatClass cls) {
+    if (std::find(classes.begin(), classes.end(), cls) != classes.end()) {
+      EXPECT_EQ(expected[field], core::format_stat(value))
+          << "stat " << name << ' ' << context;
+    }
+    ++field;
+  });
 }
 
 }  // namespace manthan::testutil
