@@ -4,10 +4,24 @@
 #include <cassert>
 #include <cmath>
 #include <functional>
+#include <limits>
 
 namespace manthan::bdd {
 
-Bdd::Bdd() {
+namespace {
+
+std::size_t hash3(std::uint32_t a, std::uint32_t b, std::uint32_t c) {
+  std::uint64_t h = (static_cast<std::uint64_t>(a) << 32 | b) *
+                    0x9e3779b97f4a7c15ULL;
+  h ^= h >> 29;
+  h = (h + c) * 0xff51afd7ed558ccdULL;
+  h ^= h >> 32;
+  return static_cast<std::size_t>(h);
+}
+
+}  // namespace
+
+Bdd::Bdd() : unique_(kInitialSlots), ite_cache_(kInitialSlots) {
   nodes_.push_back({kTerminalLevel, kFalseNode, kFalseNode});  // 0: false
   nodes_.push_back({kTerminalLevel, kTrueNode, kTrueNode});    // 1: true
 }
@@ -25,17 +39,45 @@ std::uint32_t Bdd::level_of(std::int32_t var) {
   return level;
 }
 
+std::size_t Bdd::unique_slot(std::uint32_t level, NodeId lo,
+                             NodeId hi) const {
+  const std::size_t mask = unique_.size() - 1;
+  for (std::size_t i = hash3(level, lo, hi) & mask;; i = (i + 1) & mask) {
+    const NodeId id = unique_[i];
+    if (id == kFalseNode) return i;
+    const Node& n = nodes_[id];
+    if (n.level == level && n.lo == lo && n.hi == hi) return i;
+  }
+}
+
+void Bdd::grow_tables() {
+  unique_.assign(2 * unique_.size(), kFalseNode);
+  for (NodeId id = 2; id < nodes_.size(); ++id) {
+    const Node& n = nodes_[id];
+    unique_[unique_slot(n.level, n.lo, n.hi)] = id;
+  }
+  std::vector<IteEntry> old(2 * ite_cache_.size());
+  old.swap(ite_cache_);
+  const std::size_t mask = ite_cache_.size() - 1;
+  for (const IteEntry& e : old) {
+    if (e.f != kFalseNode) ite_cache_[hash3(e.f, e.g, e.h) & mask] = e;
+  }
+}
+
 NodeId Bdd::mk(std::uint32_t level, NodeId lo, NodeId hi) {
   if ((++op_counter_ & 0xfff) == 0 && abort_check_ && abort_check_()) {
     throw BddAborted();
   }
   if (lo == hi) return lo;
-  const TripleKey key{level, lo, hi};
-  const auto it = unique_.find(key);
-  if (it != unique_.end()) return it->second;
+  const std::size_t slot = unique_slot(level, lo, hi);
+  if (unique_[slot] != kFalseNode) return unique_[slot];
   const auto id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back({level, lo, hi});
-  unique_.emplace(key, id);
+  if (2 * (nodes_.size() - 2) > unique_.size()) {
+    grow_tables();  // rehashes the new node too
+  } else {
+    unique_[slot] = id;
+  }
   return id;
 }
 
@@ -56,9 +98,9 @@ NodeId Bdd::ite(NodeId f, NodeId g, NodeId h) {
   if (g == h) return g;
   if (g == kTrueNode && h == kFalseNode) return f;
 
-  const TripleKey key{f, g, h};
-  const auto it = ite_cache_.find(key);
-  if (it != ite_cache_.end()) return it->second;
+  const std::size_t hash = hash3(f, g, h);
+  const IteEntry& hit = ite_cache_[hash & (ite_cache_.size() - 1)];
+  if (hit.f == f && hit.g == g && hit.h == h) return hit.r;
 
   const std::uint32_t top = std::min(
       {nodes_[f].level, nodes_[g].level, nodes_[h].level});
@@ -71,71 +113,76 @@ NodeId Bdd::ite(NodeId f, NodeId g, NodeId h) {
   const NodeId lo = ite(cofactor(f, false), cofactor(g, false),
                         cofactor(h, false));
   const NodeId result = mk(top, lo, hi);
-  ite_cache_.emplace(key, result);
+  // The recursion may have grown the table: index it afresh.
+  ite_cache_[hash & (ite_cache_.size() - 1)] = {f, g, h, result};
   return result;
 }
 
-NodeId Bdd::quantify(NodeId f, const std::vector<std::uint32_t>& levels,
-                     bool existential,
-                     std::unordered_map<NodeId, NodeId>& cache) {
-  if (is_terminal(f)) return f;
-  const auto it = cache.find(f);
-  if (it != cache.end()) return it->second;
+void Bdd::begin_memo() {
+  // Memoized calls only visit nodes that exist when they start.
+  if (memo_.size() < nodes_.size()) memo_.resize(nodes_.size());
+  if (++memo_generation_ == 0) {  // wrapped: drop every stale stamp
+    std::fill(memo_.begin(), memo_.end(), MemoEntry{});
+    memo_generation_ = 1;
+  }
+}
+
+NodeId Bdd::quantify(NodeId f, std::uint32_t deepest, bool existential) {
   const Node n = nodes_[f];
-  // Levels are sorted; everything quantified lies at or below some level,
-  // but we simply test membership.
-  const bool quantify_here =
-      std::binary_search(levels.begin(), levels.end(), n.level);
-  const NodeId lo = quantify(n.lo, levels, existential, cache);
-  const NodeId hi = quantify(n.hi, levels, existential, cache);
+  // Nothing quantified below the deepest quantified level (terminals
+  // included).
+  if (n.level > deepest) return f;
+  if (memo_[f].stamp == memo_generation_) return memo_[f].result;
+  const NodeId lo = quantify(n.lo, deepest, existential);
+  const NodeId hi = quantify(n.hi, deepest, existential);
   NodeId result;
-  if (quantify_here) {
+  if (quantified_level_[n.level]) {
     result = existential ? or_op(lo, hi) : and_op(lo, hi);
   } else {
     result = mk(n.level, lo, hi);
   }
-  cache.emplace(f, result);
+  memo_[f] = {memo_generation_, result};
   return result;
 }
 
+NodeId Bdd::quantify_vars(NodeId f, const std::vector<std::int32_t>& vars,
+                          bool existential) {
+  if (vars.empty()) return f;
+  std::uint32_t deepest = 0;
+  for (const std::int32_t v : vars) deepest = std::max(deepest, level_of(v));
+  quantified_level_.assign(var_of_level_.size(), false);
+  for (const std::int32_t v : vars) quantified_level_[level_of(v)] = true;
+  begin_memo();
+  return quantify(f, deepest, existential);
+}
+
 NodeId Bdd::exists(NodeId f, const std::vector<std::int32_t>& vars) {
-  std::vector<std::uint32_t> levels;
-  levels.reserve(vars.size());
-  for (const std::int32_t v : vars) levels.push_back(level_of(v));
-  std::sort(levels.begin(), levels.end());
-  std::unordered_map<NodeId, NodeId> cache;
-  return quantify(f, levels, /*existential=*/true, cache);
+  return quantify_vars(f, vars, /*existential=*/true);
 }
 
 NodeId Bdd::forall(NodeId f, const std::vector<std::int32_t>& vars) {
-  std::vector<std::uint32_t> levels;
-  levels.reserve(vars.size());
-  for (const std::int32_t v : vars) levels.push_back(level_of(v));
-  std::sort(levels.begin(), levels.end());
-  std::unordered_map<NodeId, NodeId> cache;
-  return quantify(f, levels, /*existential=*/false, cache);
+  return quantify_vars(f, vars, /*existential=*/false);
 }
 
-NodeId Bdd::restrict_level(NodeId f, std::uint32_t level, bool value,
-                           std::unordered_map<NodeId, NodeId>& cache) {
-  if (is_terminal(f) || nodes_[f].level > level) return f;
-  const auto it = cache.find(f);
-  if (it != cache.end()) return it->second;
+NodeId Bdd::restrict_level(NodeId f, std::uint32_t level, bool value) {
   const Node n = nodes_[f];
+  if (n.level > level) return f;  // terminals included
+  if (memo_[f].stamp == memo_generation_) return memo_[f].result;
   NodeId result;
   if (n.level == level) {
     result = value ? n.hi : n.lo;
   } else {
-    result = mk(n.level, restrict_level(n.lo, level, value, cache),
-                restrict_level(n.hi, level, value, cache));
+    result = mk(n.level, restrict_level(n.lo, level, value),
+                restrict_level(n.hi, level, value));
   }
-  cache.emplace(f, result);
+  memo_[f] = {memo_generation_, result};
   return result;
 }
 
 NodeId Bdd::restrict_var(NodeId f, std::int32_t var, bool value) {
-  std::unordered_map<NodeId, NodeId> cache;
-  return restrict_level(f, level_of(var), value, cache);
+  const std::uint32_t level = level_of(var);
+  begin_memo();
+  return restrict_level(f, level, value);
 }
 
 NodeId Bdd::compose(NodeId f, std::int32_t var, NodeId g) {
@@ -144,22 +191,12 @@ NodeId Bdd::compose(NodeId f, std::int32_t var, NodeId g) {
 }
 
 NodeId Bdd::from_cnf(const cnf::CnfFormula& formula) {
-  // Declare variables in index order for a predictable default ordering.
-  for (cnf::Var v = 0; v < formula.num_vars(); ++v) level_of(v);
-  NodeId acc = kTrueNode;
-  for (const cnf::Clause& clause : formula.clauses()) {
-    NodeId c = kFalseNode;
-    for (const cnf::Lit l : clause) {
-      c = or_op(c, literal(l.var(), !l.negated()));
-    }
-    acc = and_op(acc, c);
-    if (acc == kFalseNode) break;
-  }
-  return acc;
+  return *from_cnf_limited(formula, std::numeric_limits<std::size_t>::max());
 }
 
 std::optional<NodeId> Bdd::from_cnf_limited(const cnf::CnfFormula& formula,
                                             std::size_t max_nodes) {
+  // Declare variables in index order for a predictable default ordering.
   for (cnf::Var v = 0; v < formula.num_vars(); ++v) level_of(v);
   NodeId acc = kTrueNode;
   for (const cnf::Clause& clause : formula.clauses()) {
@@ -175,23 +212,22 @@ std::optional<NodeId> Bdd::from_cnf_limited(const cnf::CnfFormula& formula,
 }
 
 std::vector<std::int32_t> Bdd::support(NodeId f) const {
-  std::vector<std::int32_t> vars;
+  std::vector<bool> visited(nodes_.size());
+  std::vector<bool> in_support(var_of_level_.size());
   std::vector<NodeId> stack{f};
-  std::unordered_map<NodeId, bool> visited;
-  std::vector<std::uint32_t> levels;
   while (!stack.empty()) {
     const NodeId n = stack.back();
     stack.pop_back();
-    if (is_terminal(n) || visited.count(n) != 0) continue;
-    visited.emplace(n, true);
-    levels.push_back(nodes_[n].level);
+    if (is_terminal(n) || visited[n]) continue;
+    visited[n] = true;
+    in_support[nodes_[n].level] = true;
     stack.push_back(nodes_[n].lo);
     stack.push_back(nodes_[n].hi);
   }
-  std::sort(levels.begin(), levels.end());
-  levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
-  vars.reserve(levels.size());
-  for (const std::uint32_t l : levels) vars.push_back(var_of_level_[l]);
+  std::vector<std::int32_t> vars;
+  for (std::size_t l = 0; l < in_support.size(); ++l) {
+    if (in_support[l]) vars.push_back(var_of_level_[l]);
+  }
   return vars;
 }
 
@@ -258,19 +294,21 @@ bool Bdd::pick_model(NodeId f,
 }
 
 std::size_t Bdd::dag_size(NodeId f) const {
+  std::vector<bool> visited(nodes_.size());
   std::vector<NodeId> stack{f};
-  std::unordered_map<NodeId, bool> visited;
+  std::size_t count = 0;
   while (!stack.empty()) {
     const NodeId n = stack.back();
     stack.pop_back();
-    if (visited.count(n) != 0) continue;
-    visited.emplace(n, true);
+    if (visited[n]) continue;
+    visited[n] = true;
+    ++count;
     if (!is_terminal(n)) {
       stack.push_back(nodes_[n].lo);
       stack.push_back(nodes_[n].hi);
     }
   }
-  return visited.size();
+  return count;
 }
 
 aig::Ref bdd_to_aig(const Bdd& bdd, NodeId f, aig::Aig& manager) {

@@ -120,38 +120,46 @@ class Bdd {
     NodeId lo;
     NodeId hi;
   };
-
-  /// Exact (collision-free) 3-word hash key for the unique and computed
-  /// tables.
-  struct TripleKey {
-    std::uint32_t a, b, c;
-    bool operator==(const TripleKey& o) const {
-      return a == o.a && b == o.b && c == o.c;
-    }
+  /// One computed-table slot: ite(f, g, h) = r. f is never a terminal for
+  /// a stored entry, so f == kFalseNode marks an empty slot.
+  struct IteEntry {
+    NodeId f = kFalseNode, g = kFalseNode, h = kFalseNode, r = kFalseNode;
   };
-  struct TripleKeyHash {
-    std::size_t operator()(const TripleKey& k) const {
-      std::uint64_t h = k.a;
-      h = h * 0x9e3779b97f4a7c15ULL + k.b;
-      h = h * 0x9e3779b97f4a7c15ULL + k.c;
-      h ^= h >> 29;
-      return static_cast<std::size_t>(h);
-    }
+  /// Memo slot for quantify/restrict_level, live only while `stamp`
+  /// equals memo_generation_.
+  struct MemoEntry {
+    std::uint32_t stamp = 0;
+    NodeId result = kFalseNode;
   };
 
   static constexpr std::uint32_t kTerminalLevel = 0x7fffffff;
+  static constexpr std::size_t kInitialSlots = 4096;
 
   std::uint32_t level_of(std::int32_t var);
   NodeId mk(std::uint32_t level, NodeId lo, NodeId hi);
-  NodeId quantify(NodeId f, const std::vector<std::uint32_t>& levels,
-                  bool existential,
-                  std::unordered_map<NodeId, NodeId>& cache);
-  NodeId restrict_level(NodeId f, std::uint32_t level, bool value,
-                        std::unordered_map<NodeId, NodeId>& cache);
+  /// Slot holding node (level, lo, hi), or the empty slot where it belongs.
+  std::size_t unique_slot(std::uint32_t level, NodeId lo, NodeId hi) const;
+  /// Double the unique table (rehashing every node) and the computed table.
+  void grow_tables();
+  /// Invalidate the node-indexed memo; called once per top-level
+  /// exists/forall/restrict_var.
+  void begin_memo();
+  NodeId quantify_vars(NodeId f, const std::vector<std::int32_t>& vars,
+                       bool existential);
+  NodeId quantify(NodeId f, std::uint32_t deepest, bool existential);
+  NodeId restrict_level(NodeId f, std::uint32_t level, bool value);
 
   std::vector<Node> nodes_;
-  std::unordered_map<TripleKey, NodeId, TripleKeyHash> unique_;
-  std::unordered_map<TripleKey, NodeId, TripleKeyHash> ite_cache_;
+  // Unique table: open addressing with linear probing over node ids, slot
+  // value kFalseNode = empty (terminals are never entered). Load <= 1/2.
+  std::vector<NodeId> unique_;
+  // Computed table for ite: direct-mapped and lossy. Losing an entry only
+  // costs a recomputation, which finds its nodes already hash-consed and so
+  // creates none: node ids and num_nodes() do not depend on the cache.
+  std::vector<IteEntry> ite_cache_;
+  std::vector<MemoEntry> memo_;
+  std::uint32_t memo_generation_ = 0;
+  std::vector<bool> quantified_level_;  // levels of the current quantify
   std::unordered_map<std::int32_t, std::uint32_t> level_of_var_;
   std::vector<std::int32_t> var_of_level_;
   std::function<bool()> abort_check_;

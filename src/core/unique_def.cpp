@@ -8,8 +8,8 @@ UniqueDefExtractor::UniqueDefExtractor(const dqbf::DqbfFormula& formula,
                                        UniqueDefOptions options)
     : formula_(formula), options_(options) {}
 
-bool UniqueDefExtractor::ensure_padoa_solver() {
-  if (padoa_solver_.has_value()) return !padoa_broken_;
+void UniqueDefExtractor::ensure_padoa_solver() {
+  if (padoa_solver_.has_value()) return;
   padoa_solver_.emplace();
   sat::Solver& solver = *padoa_solver_;
   const cnf::CnfFormula& matrix = formula_.matrix();
@@ -34,13 +34,11 @@ bool UniqueDefExtractor::ensure_padoa_solver() {
     solver.add_clause({~s, cnf::pos(x), cnf::neg(x + shift_)});
     universal_eq_selector_.push_back(s);
   }
-  padoa_broken_ = false;
-  return true;
 }
 
 UniqueDefExtractor::Defined UniqueDefExtractor::is_defined(
     std::size_t i, const util::Deadline* deadline) {
-  if (!ensure_padoa_solver()) return Defined::kUnknown;
+  ensure_padoa_solver();
   sat::Solver& solver = *padoa_solver_;
   const dqbf::Existential& e = formula_.existentials()[i];
 

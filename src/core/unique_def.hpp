@@ -44,7 +44,7 @@ class UniqueDefExtractor {
   std::optional<aig::Ref> extract(std::size_t i, aig::Aig& manager);
 
  private:
-  bool ensure_padoa_solver();
+  void ensure_padoa_solver();
   bool ensure_matrix_bdd();
 
   const dqbf::DqbfFormula& formula_;
@@ -54,7 +54,6 @@ class UniqueDefExtractor {
   std::optional<sat::Solver> padoa_solver_;
   std::vector<cnf::Lit> universal_eq_selector_;  // indexed by universal pos
   cnf::Var shift_ = 0;
-  bool padoa_broken_ = false;
 
   std::optional<bdd::Bdd> bdd_;
   bdd::NodeId matrix_bdd_ = bdd::kFalseNode;

@@ -167,6 +167,101 @@ TEST(Bdd, DeclareOrderRespected) {
   EXPECT_EQ(b.var_of(f), 5);
 }
 
+// Brute-force quantification over `vars` by enumerating their values.
+bool brute_quantify(const Bdd& b, NodeId f,
+                    std::unordered_map<std::int32_t, bool> in,
+                    const std::vector<std::int32_t>& vars, bool existential) {
+  for (std::uint32_t bits = 0; bits < (1u << vars.size()); ++bits) {
+    for (std::size_t k = 0; k < vars.size(); ++k) {
+      in[vars[k]] = ((bits >> k) & 1) != 0;
+    }
+    if (b.evaluate(f, in) == existential) return existential;
+  }
+  return !existential;
+}
+
+// exists, forall and restrict_var share one node-indexed memo; every
+// top-level call must start from a fresh generation, or a later call reads
+// the previous call's results.
+TEST(Bdd, MemoReuseAcrossCalls) {
+  Bdd b;
+  std::vector<NodeId> x;
+  for (int v = 0; v < 6; ++v) x.push_back(b.var_node(v));
+  // f = (x0 & x1) | (x3 ^ x4) | (x2 & !x5)
+  const NodeId f = b.or_op(b.or_op(b.and_op(x[0], x[1]), b.xor_op(x[3], x[4])),
+                           b.and_op(x[2], b.not_op(x[5])));
+  const std::vector<std::int32_t> first{1, 3};
+  const std::vector<std::int32_t> second{0, 4};
+  const std::vector<std::int32_t> third{5, 1};
+  const NodeId e1 = b.exists(f, first);
+  const NodeId a = b.forall(f, second);
+  const NodeId r = b.restrict_var(f, 2, true);
+  const NodeId e2 = b.exists(f, third);
+  // Pairwise distinct, so a result read from an earlier call's memo shows.
+  const std::vector<NodeId> results{e1, a, r, e2};
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    for (std::size_t j = i + 1; j < results.size(); ++j) {
+      EXPECT_NE(results[i], results[j]) << i << " vs " << j;
+    }
+  }
+  for (int bits = 0; bits < 64; ++bits) {
+    std::unordered_map<std::int32_t, bool> in;
+    for (int v = 0; v < 6; ++v) in[v] = ((bits >> v) & 1) != 0;
+    EXPECT_EQ(b.evaluate(e1, in), brute_quantify(b, f, in, first, true));
+    EXPECT_EQ(b.evaluate(a, in), brute_quantify(b, f, in, second, false));
+    EXPECT_EQ(b.evaluate(e2, in), brute_quantify(b, f, in, third, true));
+    auto fixed = in;
+    fixed[2] = true;
+    EXPECT_EQ(b.evaluate(r, in), b.evaluate(f, fixed));
+  }
+}
+
+// Pairs x_v <-> x_{v+9} blow up under the identity order: the build passes
+// 4096 nodes, so the unique table rehashes twice and the computed table
+// evicts. Node ids are hash-consed and never freed, so num_nodes() must
+// match the count of an exact (never-evicting) computed table: 4305 after
+// the build, 4713 after the exists. These counts are what the node caps of
+// unique-definition extraction and HQS-lite are compared against.
+TEST(Bdd, RehashEvictionKeepsNodeCount) {
+  constexpr cnf::Var kVars = 18;
+  util::Rng rng(2023);
+  cnf::CnfFormula f(kVars);
+  for (int c = 0; c < 2; ++c) {
+    const auto v = static_cast<cnf::Var>(rng.next_below(kVars - 2));
+    f.add_clause({cnf::Lit(v, rng.flip()), cnf::Lit(v + 1, rng.flip()),
+                  cnf::Lit(v + 2, rng.flip())});
+  }
+  for (cnf::Var v = 0; v < kVars / 2; ++v) {
+    f.add_clause({cnf::pos(v), cnf::neg(v + kVars / 2)});
+    f.add_clause({cnf::neg(v), cnf::pos(v + kVars / 2)});
+  }
+  Bdd b;
+  const NodeId root = b.from_cnf(f);
+  EXPECT_EQ(b.num_nodes(), 4305u);
+
+  cnf::CnfFormula reversed(kVars);
+  for (auto it = f.clauses().rbegin(); it != f.clauses().rend(); ++it) {
+    reversed.add_clause(*it);
+  }
+  Bdd b2;
+  const NodeId root2 = b2.from_cnf(reversed);
+  EXPECT_EQ(b.dag_size(root), b2.dag_size(root2));
+  EXPECT_DOUBLE_EQ(b.sat_count(root, kVars), b2.sat_count(root2, kVars));
+
+  std::unordered_map<std::int32_t, bool> in;
+  cnf::Assignment a(kVars);
+  for (std::uint32_t bits = 0; bits < (1u << kVars); ++bits) {
+    for (cnf::Var v = 0; v < kVars; ++v) {
+      in[v] = ((bits >> v) & 1) != 0;
+      a.set(v, in[v]);
+    }
+    ASSERT_EQ(b.evaluate(root, in), f.satisfied_by(a)) << bits;
+  }
+
+  b.exists(root, {1, 4, 9, 12, 15});
+  EXPECT_EQ(b.num_nodes(), 4713u);
+}
+
 TEST(BddAig, ConversionPreservesSemantics) {
   util::Rng rng(31);
   for (int round = 0; round < 10; ++round) {
